@@ -72,10 +72,6 @@ def map_indexed(fn, n: int):
         return list(pool.map(fn, range(n)))
 
 
-def _random_simplex(rng: RandomSource, m: int, scale: float) -> np.ndarray:
-    return softmax(scale * gaussian_vec(rng, m))
-
-
 def _simplex_pairs(rng: RandomSource, n: int, m: int, scale: float):
     """Random simplex pairs with every entry above the probability floor."""
     g = rng.generator()
@@ -555,7 +551,8 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         pert0 = PerturbationConfig(radius=0.05, ascent_steps=0)
         v0 = vat_penalty(model, x, RegularizerSpec("vat", "SHL", perturbation=pert0), src)
         delta = gaussian_vec(src.split(0), x.size, pert0.init_std)
-        delta = pert0.radius * delta / np.linalg.norm(delta)
+        # normalize exactly as _project does; np.linalg.norm can differ by an ulp
+        delta = pert0.radius * delta / np.sqrt(np.sum(delta * delta))
         direct = f_divergence(GENERATORS["SHL"], mlp.posterior(model, x + delta), mlp.posterior(model, x))
         dev = max(dev, abs(v0.value - direct))
     out.append(PropertyResult("vat_zero_steps_is_projected_draw", dev == 0.0, -dev,

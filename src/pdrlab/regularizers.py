@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model as mlp
 from .divergences import PROB_FLOOR, Generator, generator, kl_divergence, l1_distance, l2_distance
-from .tensor import RandomSource, frobenius_norm, gaussian_vec, spectral_norm
+from .tensor import RandomRows, RandomSource, frobenius_norm, gaussian_rows, gaussian_vec, spectral_norm
 
 _ASCENT_NORM_FLOOR = 1e-12
 
@@ -103,12 +103,13 @@ def jr_penalty(model: mlp.MlpModel, x) -> PenaltyResult:
     return PenaltyResult(float(values[0]), grads)
 
 
-def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rngs, weights=None):
-    """Random-perturbation penalty for a batch; one rng per row.
+def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows,
+                      weights=None):
+    """Random-perturbation penalty for a batch; one RandomRows row per batch row.
 
     Returns (values (B,), GradientBundle summed over rows and averaged over
-    samples). Draw s for row i comes from rngs[i].split(s), so values do not
-    depend on batch composition.
+    samples). Draw s for row i comes from row i of rows.split(s), so values
+    do not depend on batch composition.
     """
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
@@ -116,7 +117,7 @@ def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rngs, we
     acc = _zero_grads(model)
     values = np.zeros(b)
     for s in range(cfg.samples_per_example):
-        eps = np.stack([gaussian_vec(rngs[i].split(s), n, cfg.radius) for i in range(b)])
+        eps = gaussian_rows(rows.split(s), n, cfg.radius)
         trn = mlp.forward_batch(model, tr.inputs + eps)
         vals, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         values += vals
@@ -138,8 +139,9 @@ def _project(delta, cfg: PerturbationConfig):
     return np.where(norms > 0, cfg.radius * delta / np.maximum(norms, 1e-300), delta)
 
 
-def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rngs, weights=None):
-    """Adversarial-perturbation penalty for a batch; one rng per row.
+def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows,
+                      weights=None):
+    """Adversarial-perturbation penalty for a batch; one RandomRows row per batch row.
 
     Ascent runs strictly per example: each row climbs its own divergence.
     With ascent_steps=0 this degrades to a single projected random draw.
@@ -147,8 +149,8 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rngs, we
     """
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
-    b, n = tr.inputs.shape
-    delta = np.stack([gaussian_vec(rngs[i].split(0), n, cfg.init_std) for i in range(b)])
+    n = tr.inputs.shape[1]
+    delta = gaussian_rows(rows.split(0), n, cfg.init_std)
     for _ in range(cfg.ascent_steps):
         trn = mlp.forward_batch(model, tr.inputs + delta)
         _, seed, _ = _divergence_rows(gen, trn.posteriors, tr.posteriors)
@@ -176,25 +178,25 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rngs, we
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence under a Gaussian draw for one example."""
     tr = mlp.forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    values, grads = rpt_penalty_batch(model, tr, spec, [rng])
+    values, grads = rpt_penalty_batch(model, tr, spec, RandomRows.of([rng]))
     return PenaltyResult(float(values[0]), grads)
 
 
 def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence at the adversarial perturbation for one example."""
     tr = mlp.forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    values, grads, delta = vat_penalty_batch(model, tr, spec, [rng])
+    values, grads, delta = vat_penalty_batch(model, tr, spec, RandomRows.of([rng]))
     return PenaltyResult(float(values[0]), grads, delta[0])
 
 
-def penalty_batch(model, tr, spec: RegularizerSpec, rngs, weights=None):
+def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows, weights=None):
     """Dispatch on spec.kind; returns (values (B,), GradientBundle)."""
     if spec.kind == "jr":
         return mlp.jacobian_sq_norm_grads_batch(model, tr, weights)
     if spec.kind == "rpt":
-        return rpt_penalty_batch(model, tr, spec, rngs, weights)
+        return rpt_penalty_batch(model, tr, spec, rows, weights)
     if spec.kind == "vat":
-        values, grads, _ = vat_penalty_batch(model, tr, spec, rngs, weights)
+        values, grads, _ = vat_penalty_batch(model, tr, spec, rows, weights)
         return values, grads
     raise ValueError(f"no penalty for kind {spec.kind!r}")
 

@@ -2,6 +2,10 @@
 
 Everything operates on plain numpy arrays. Vectors are 1-D float64, matrices
 2-D float64; batched variants act along the last axis.
+
+Draws are bit-reproducible from the seed on one platform and numpy build. The
+Gaussian kernel calls libm's log, cos and sin, whose last-bit rounding may
+differ between platforms, so no cross-platform identity is claimed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,27 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+_U64_GOLDEN = np.uint64(_GOLDEN)
+_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U64_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_30, _U64_27, _U64_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """`_splitmix64` elementwise over a uint64 array, wrapping mod 2**64.
+
+    Keep the operands arrays: numpy warns on overflow of uint64 scalars but
+    wraps arrays silently. The first sum copies z, so z is not modified.
+    """
+    z = z + _U64_GOLDEN
+    z ^= z >> _U64_30
+    z *= _U64_MIX1
+    z ^= z >> _U64_27
+    z *= _U64_MIX2
+    z ^= z >> _U64_31
+    return z
 
 
 @dataclass(frozen=True)
@@ -40,22 +65,90 @@ class RandomSource:
             s = _splitmix64(s ^ ((p + 1) * _GOLDEN & _MASK64))
         return RandomSource(self.seed, s)
 
+    def split_rows(self, index) -> "RandomRows":
+        """Vectorized `split`: row i of the result is `self.split(index[i])`."""
+        index = np.asarray(index)
+        if index.ndim != 1:
+            raise ValueError(f"split_rows needs a 1-D index array, got shape {index.shape}")
+        return RandomRows(np.full(index.size, self.seed & _MASK64, dtype=np.uint64),
+                          np.full(index.size, self.stream & _MASK64, dtype=np.uint64)).split(index)
+
     def generator(self) -> np.random.Generator:
-        # Philox is counter-based: keyed streams are independent and the
-        # draw sequence is identical across platforms.
+        # Philox is counter-based, so keyed streams are independent.
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def gaussian_vec(rng: RandomSource, n: int, std: float = 1.0) -> np.ndarray:
-    """Draw an n-vector of independent centered Gaussians with the given std."""
+class RandomRows:
+    """One (seed, stream) pair per batch row, held as two uint64 arrays.
+
+    Row i stands for `RandomSource(seeds[i], streams[i])` with both masked to
+    64 bits, so `split` and `gaussian_rows` act on every row in one array op
+    while each row's values depend on its own pair alone, never on which
+    rows share the batch or in what order. A plain class, not a dataclass:
+    it is built on every penalty batch and its import cost counts at set-up.
+    """
+
+    __slots__ = ("seeds", "streams")
+
+    def __init__(self, seeds: np.ndarray, streams: np.ndarray):
+        self.seeds = seeds
+        self.streams = streams
+
+    @classmethod
+    def of(cls, sources) -> "RandomRows":
+        """Stack RandomSources, one per row."""
+        return cls(np.array([r.seed & _MASK64 for r in sources], dtype=np.uint64),
+                   np.array([r.stream & _MASK64 for r in sources], dtype=np.uint64))
+
+    def split(self, *path) -> "RandomRows":
+        """Row-wise `RandomSource.split`; each path entry is an int for every
+        row or an integer array with one entry per row."""
+        s = self.streams
+        for p in path:
+            if isinstance(p, (int, np.integer)):
+                tag = np.uint64((int(p) + 1) * _GOLDEN & _MASK64)
+            else:
+                p = np.asarray(p)
+                if not np.issubdtype(p.dtype, np.integer):
+                    raise TypeError(f"split path arrays must hold integers, got {p.dtype}")
+                tag = (p.astype(np.uint64) + np.uint64(1)) * _U64_GOLDEN
+            s = _splitmix64_array(s ^ tag)
+        return RandomRows(self.seeds, s)
+
+
+def gaussian_rows(rows: RandomRows, n: int, std: float = 1.0) -> np.ndarray:
+    """Draw a (B, n) array of independent centered Gaussians, B = rows' size.
+
+    Each row hashes its (seed, stream) pair into a splitmix64 key and reads
+    the splitmix64 sequence from that key (Salmon et al., SC'11; Claessen &
+    Pałka, 2013). Consecutive words are paired into uniforms u1 in (0, 1]
+    and u2 in [0, 1), and Box-Muller turns each pair into two normals, so
+    row i is the same n-vector whatever the rest of the batch is.
+    """
     if n < 1:
-        raise ValueError(f"gaussian_vec needs n >= 1, got {n}")
+        raise ValueError(f"gaussian_rows needs n >= 1, got {n}")
     if not np.isfinite(std) or std < 0:
-        raise ValueError(f"gaussian_vec needs finite std >= 0, got {std}")
-    if std == 0.0:
-        return np.zeros(n)
-    return std * rng.generator().standard_normal(n)
+        raise ValueError(f"gaussian_rows needs finite std >= 0, got {std}")
+    half = (n + 1) // 2
+    key = _splitmix64_array(_splitmix64_array(rows.seeds) ^ rows.streams)
+    # word 2k of a row feeds u1 and word 2k+1 feeds u2 of pair k; laid out as
+    # (2, B, half) so log, cos and sin see C-contiguous operands for any B
+    counter = np.arange(2 * half, dtype=np.uint64).reshape(half, 2).T * _U64_GOLDEN
+    words = _splitmix64_array(key[None, :, None] + counter[:, None, :])
+    top = (words >> np.uint64(11)).astype(np.float64)  # 53 random bits
+    radius = np.sqrt(-2.0 * np.log((top[0] + 1.0) * 2.0**-53))
+    angle = (2.0 * np.pi * 2.0**-53) * top[1]
+    pairs = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    return std * pairs.reshape(rows.seeds.size, 2 * half)[:, :n]
+
+
+def gaussian_vec(rng: RandomSource, n: int, std: float = 1.0) -> np.ndarray:
+    """Draw an n-vector of independent centered Gaussians with the given std.
+
+    The one-row case of `gaussian_rows`.
+    """
+    return gaussian_rows(RandomRows.of([rng]), n, std)[0]
 
 
 def permutation(rng: RandomSource, n: int) -> np.ndarray:

@@ -179,8 +179,8 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
             pen_grads = None
             pen_scale = 0.0
             if spec.kind != "none":
-                rngs = [rng.split(_PENALTY, epoch, int(i)) for i in batch]
-                values, pen_grads = penalty_batch(model, tr, spec, rngs)
+                rows = rng.split(_PENALTY, epoch).split_rows(batch)
+                values, pen_grads = penalty_batch(model, tr, spec, rows)
                 pen_sum += float(values.sum())
                 pen_scale = spec.alpha / len(batch)
             grads = _combine(ce_grads, 1.0 / n_lab if n_lab else 0.0, pen_grads, pen_scale)

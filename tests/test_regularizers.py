@@ -15,7 +15,7 @@ from pdrlab.regularizers import (
     vat_penalty,
     vat_penalty_batch,
 )
-from pdrlab.tensor import RandomSource, gaussian_vec
+from pdrlab.tensor import RandomRows, RandomSource, gaussian_vec
 
 
 def small_model(seed=1, dims=(3, 5, 3)):
@@ -187,10 +187,10 @@ def test_rpt_batch_values_ignore_batch_composition():
     X = RandomSource(14).generator().standard_normal((3, 3))
     spec = RegularizerSpec(kind="rpt", perturbation=PerturbationConfig(radius=0.2))
     rngs = [RandomSource(14).split(1, 0, i) for i in range(3)]
-    full, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X), spec, rngs)
+    full, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X), spec, RandomRows.of(rngs))
     # same example with the same stream, different batch around it; the draw
     # is identical, only GEMM rounding differs between batch shapes
-    solo, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X[1:2]), spec, [rngs[1]])
+    solo, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X[1:2]), spec, RandomRows.of([rngs[1]]))
     assert full[1] == pytest.approx(solo[0], abs=1e-12)
 
 
@@ -266,7 +266,7 @@ def test_vat_batch_matches_single_example():
     spec = RegularizerSpec(kind="vat",
                            perturbation=PerturbationConfig(radius=0.1, ascent_steps=1, step_size=0.01))
     rngs = [RandomSource(30 + i) for i in range(3)]
-    values, _, deltas = vat_penalty_batch(m, mlp.forward_batch(m, X), spec, rngs)
+    values, _, deltas = vat_penalty_batch(m, mlp.forward_batch(m, X), spec, RandomRows.of(rngs))
     for i in range(3):
         single = vat_penalty(m, X[i], spec, rngs[i])
         assert values[i] == pytest.approx(single.value, abs=1e-12)
@@ -279,7 +279,7 @@ def test_penalty_batch_dispatch():
     m = small_model(59)
     X = RandomSource(26).generator().standard_normal((2, 3))
     tr = mlp.forward_batch(m, X)
-    rngs = [RandomSource(40 + i) for i in range(2)]
+    rngs = RandomRows.of([RandomSource(40 + i) for i in range(2)])
     for kind in ("jr", "rpt", "vat"):
         spec = RegularizerSpec(kind=kind, perturbation=PerturbationConfig(radius=0.1))
         values, grads = penalty_batch(m, tr, spec, rngs)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrlab.tensor import (
+    RandomRows,
     RandomSource,
     as_mat,
     as_vec,
     check_simplex,
     frobenius_norm,
+    gaussian_rows,
     gaussian_vec,
     log_sum_exp,
     permutation,
@@ -52,6 +54,66 @@ def test_gaussian_vec_basic():
     assert v.shape == (1000,)
     assert abs(v.std() - 2.0) < 0.2
     assert np.array_equal(v, gaussian_vec(RandomSource(5).split(0), 1000, 2.0))
+
+
+# Frozen draws: a change here changes every rpt/vat run and verify report.
+# Seeds are masked to 64 bits, so 2**63 + 7 and -12345 are ordinary keys.
+@pytest.mark.parametrize("rng,n,std,want", [
+    (RandomSource(0), 3, 1.0, [1.9549744116420429, -0.35891958307548716, 1.3099995278347734]),
+    (RandomSource(1).split(1, 0, 5), 4, 0.3,
+     [0.47703679932930065, 0.21259261520149506, 0.26521240140172125, -0.21714027583270384]),
+    (RandomSource(2**63 + 7).split(2), 3, 1.0, [2.3805860364773, 0.5911856674441966, 0.3378622141637977]),
+    (RandomSource(-12345).split(0), 5, 2.0,
+     [-0.9768945895077702, 0.606263479045954, -0.24536487025124742, -0.3300462579680591,
+      1.7931321138602214]),
+])
+def test_gaussian_vec_golden_values(rng, n, std, want):
+    assert np.array_equal(gaussian_vec(rng, n, std), np.array(want))
+
+
+def test_split_golden_stream():
+    assert RandomSource(1).split(1, 0, 5).stream == 7687491980820276363
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 7, 2**64 - 1, -12345])
+@pytest.mark.parametrize("path", [(), (0,), (1, 2), (1, 0, 5), (-1, 2**40), (3, 2**64 - 1)])
+def test_split_rows_matches_scalar_split(seed, path):
+    index = np.array([0, 5, 3, -2, 2**62, 199])
+    rng = RandomSource(seed, stream=11)
+    rows = rng.split(*path).split_rows(index)
+    assert rows.streams.dtype == np.uint64 and rows.seeds.dtype == np.uint64
+    want = [rng.split(*path, int(i)) for i in index]
+    assert rows.streams.tolist() == [r.stream for r in want]
+    assert rows.seeds.tolist() == [seed % 2**64] * index.size
+    # row-wise split of mixed seeds and streams, by int and by per-row array
+    mixed = [RandomSource(seed), RandomSource(-3, stream=2**64 - 5), RandomSource(2**63, stream=9)]
+    by_int = RandomRows.of(mixed).split(*path)
+    assert by_int.streams.tolist() == [r.split(*path).stream for r in mixed]
+    by_array = RandomRows.of(mixed).split(np.array([4, -1, 2**62]), *path)
+    assert by_array.streams.tolist() == [
+        r.split(p, *path).stream for r, p in zip(mixed, (4, -1, 2**62))]
+    with pytest.raises(TypeError):
+        RandomRows.of(mixed).split(np.array([4.0, -1.0, 2.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_gaussian_rows_row_is_its_own_gaussian_vec(n):
+    rng = RandomSource(2**64 - 3).split(1, 4)
+    index = np.arange(40)
+    singles = {int(i): gaussian_vec(rng.split(int(i)), n, 0.3) for i in index}
+    reordered = np.random.default_rng(n).permutation(index)
+    for batch in (index, reordered, reordered[:7], index[31:32]):
+        draws = gaussian_rows(rng.split_rows(batch), n, 0.3)
+        assert draws.shape == (batch.size, n)
+        for i, row in zip(batch, draws):
+            assert np.array_equal(row, singles[int(i)])
+    # rows with different seeds in one batch
+    mixed = [RandomSource(-1).split(2), RandomSource(5), RandomSource(2**63).split(0, 1)]
+    draws = gaussian_rows(RandomRows.of(mixed), n)
+    for r, row in zip(mixed, draws):
+        assert np.array_equal(row, gaussian_vec(r, n))
 
 
 def test_gaussian_vec_zero_std_is_exact_zero():
