@@ -19,12 +19,14 @@ from pdrlab import (
     rpt_penalty,
     vat_penalty,
 )
+from pdrlab.model import pack_params
 
 rng = RandomSource(21)
 
 # steep binary classifier, probed at the least saturated point found
 base = init_mlp((2, 6, 2), rng)
-model = MlpModel(base.layer_dims, tuple(w * 9 for w in base.weights), base.biases)
+model = MlpModel(base.layer_dims,
+                 pack_params(base.layer_dims, [w * 9 for w in base.weights], base.biases))
 x = max((rng.split(5, attempt).generator().standard_normal(2) for attempt in range(200)),
         key=lambda cand: posterior(model, cand).min())
 print("probe point:", np.round(x, 4), " posterior:", np.round(posterior(model, x), 4))

@@ -33,7 +33,7 @@ from .regularizers import (
     rpt_penalty,
     vat_penalty,
 )
-from .spans import SpanExample, SpanModel, init_span_model, span_distributions, span_penalty
+from .spans import SpanModel, init_span_model, span_distributions, span_penalty
 from .data import (
     Dataset,
     UNLABELED,
@@ -59,7 +59,7 @@ __all__ = [
     "posterior", "save_model",
     "PenaltyResult", "PerturbationConfig", "RegularizerSpec",
     "jr_penalty", "quadratic_penalty", "rpt_penalty", "vat_penalty",
-    "SpanExample", "SpanModel", "init_span_model", "span_distributions", "span_penalty",
+    "SpanModel", "init_span_model", "span_distributions", "span_penalty",
     "Dataset", "UNLABELED", "apply_domain_shift", "make_gaussian_mixture",
     "make_spurious_pair", "make_two_moons", "read_csv", "withhold_labels", "write_csv",
     "TrainConfig", "evaluate", "init_model_for", "train",

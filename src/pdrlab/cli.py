@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 bad usage or bad config, 2 a verification suite or
 input-distribution check failed, 3 runtime failure (missing or malformed
-files, degenerate training setups).
+files, degenerate setups or diverged training runs).
 """
 
 from __future__ import annotations

@@ -249,8 +249,3 @@ def read_csv(path) -> Dataset:
         raise ValueError(f"{path}: non-finite feature values")
     n_classes = max((y for y in labels if y is not None), default=1) + 1
     return Dataset(features, tuple(labels), max(n_classes, 2), {"source": str(path)})
-
-
-def relabel_unlabeled_fraction(ds: Dataset) -> float:
-    labeled = sum(1 for y in ds.labels if y is not None)
-    return 1.0 - labeled / ds.n_examples

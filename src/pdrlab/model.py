@@ -13,6 +13,7 @@ per row and are what the trainer and penalty code call.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -23,29 +24,31 @@ from .tensor import RandomSource, softmax
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
 class MlpModel:
-    """Immutable parameter container. weights[l] has shape (out, in)."""
+    """Immutable parameters in one read-only float64 vector, `params`, laid out
+    [W0, b0, W1, b1, ...]. weights[l] (shape (out, in)) and biases[l] are
+    views into it, and every parameter gradient is a flat array in the same
+    layout. A plain class, not a dataclass: one is built on every update.
+    """
 
-    layer_dims: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    __slots__ = ("layer_dims", "params", "weights", "biases")
 
-    def __post_init__(self):
-        if len(self.layer_dims) < 2:
+    def __init__(self, layer_dims, params):
+        dims = tuple(map(int, layer_dims))
+        if len(dims) < 2:
             raise ValueError("layer_dims needs at least input and output sizes")
-        if any(int(d) < 1 for d in self.layer_dims):
-            raise ValueError(f"layer_dims must be positive, got {self.layer_dims}")
-        dims = self.layer_dims
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("parameter count does not match layer_dims")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
-                raise ValueError(f"layer {l} parameter shapes do not match layer_dims")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l} has non-finite parameters")
-            w.setflags(write=False)
-            b.setflags(write=False)
+        if min(dims) < 1:
+            raise ValueError(f"layer_dims must be positive, got {dims}")
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (n_params(dims),):
+            raise ValueError(f"params must have shape ({n_params(dims)},) for layer_dims {dims}, "
+                             f"got {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("parameters have non-finite entries")
+        params.setflags(write=False)
+        self.layer_dims = dims
+        self.params = params
+        self.weights, self.biases = unflatten(dims, params)
 
     @property
     def n_inputs(self) -> int:
@@ -54,6 +57,49 @@ class MlpModel:
     @property
     def n_classes(self) -> int:
         return self.layer_dims[-1]
+
+    def with_params(self, params) -> "MlpModel":
+        return MlpModel(self.layer_dims, params)
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(layer_dims: tuple[int, ...]):
+    """(W start, b start, b stop, W shape) of each layer in the flat vector."""
+    out, lo = [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        mid = lo + fan_out * fan_in
+        out.append((lo, mid, mid + fan_out, (fan_out, fan_in)))
+        lo = mid + fan_out
+    return tuple(out)
+
+
+def n_params(layer_dims) -> int:
+    """Length of the flat parameter vector for these layer sizes."""
+    layout = _layout(tuple(layer_dims))
+    return layout[-1][2] if layout else 0
+
+
+def unflatten(layer_dims, flat):
+    """(weights, biases): per-layer views of a flat vector in parameter layout."""
+    weights, biases = [], []
+    for lo, mid, hi, shape in _layout(tuple(layer_dims)):
+        weights.append(flat[lo:mid].reshape(shape))
+        biases.append(flat[mid:hi])
+    return tuple(weights), tuple(biases)
+
+
+def pack_params(layer_dims, weights, biases) -> np.ndarray:
+    """The flat parameter vector [W0, b0, W1, b1, ...] from per-layer arrays."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
+        raise ValueError("parameter count does not match layer_dims")
+    parts = []
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
+            raise ValueError(f"layer {l} parameter shapes do not match layer_dims")
+        parts += [w.ravel(), b]
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -74,15 +120,6 @@ class BatchTrace:
     posteriors: np.ndarray  # (B, m)
 
 
-@dataclass(frozen=True)
-class GradientBundle:
-    """Parameter gradients (same shapes as the model) plus d(value)/d(input)."""
-
-    weight_grads: tuple[np.ndarray, ...]
-    bias_grads: tuple[np.ndarray, ...]
-    input_grad: np.ndarray | None = None
-
-
 def init_mlp(layer_dims, rng: RandomSource) -> MlpModel:
     """Fresh model: weights ~ N(0, 1/fan_in), biases zero, one stream per layer."""
     dims = tuple(int(d) for d in layer_dims)
@@ -92,7 +129,7 @@ def init_mlp(layer_dims, rng: RandomSource) -> MlpModel:
         flat = rng.split(l).generator().standard_normal(fan_out * fan_in)
         weights.append((flat / np.sqrt(fan_in)).reshape(fan_out, fan_in))
         biases.append(np.zeros(fan_out))
-    return MlpModel(dims, tuple(weights), tuple(biases))
+    return MlpModel(dims, pack_params(dims, weights, biases))
 
 
 def _check_batch_inputs(model: MlpModel, X) -> np.ndarray:
@@ -104,15 +141,20 @@ def _check_batch_inputs(model: MlpModel, X) -> np.ndarray:
     return X
 
 
-def forward_batch(model: MlpModel, X) -> BatchTrace:
-    X = _check_batch_inputs(model, X)
+def _forward_core(model: MlpModel, X):
+    """(tanh hidden activations, linear last-layer outputs) for checked rows X."""
     hiddens = []
     a = X
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = np.tanh(a @ w.T + b)
         hiddens.append(a)
-    logits = a @ model.weights[-1].T + model.biases[-1]
-    return BatchTrace(X, tuple(hiddens), logits, softmax(logits))
+    return tuple(hiddens), a @ model.weights[-1].T + model.biases[-1]
+
+
+def forward_batch(model: MlpModel, X) -> BatchTrace:
+    X = _check_batch_inputs(model, X)
+    hiddens, logits = _forward_core(model, X)
+    return BatchTrace(X, hiddens, logits, softmax(logits))
 
 
 def forward(model: MlpModel, x) -> ForwardTrace:
@@ -137,25 +179,23 @@ def _batch_trace(model: MlpModel, trace: ForwardTrace) -> BatchTrace:
     )
 
 
-def _backward_from_logits(model, tr: BatchTrace, g_logits, want_param_grads=True):
+def _backward_from_logits(model, tr, g_logits, want_param_grads=True):
     """Backpropagate d(scalar)/d(logits) rows to parameters and inputs.
 
-    Returns (weight_grads, bias_grads, input_grads); parameter grads are
-    summed over the batch, input grads stay per row.
+    tr needs `inputs` and `hiddens` as a BatchTrace has them. Returns
+    (flat parameter grads summed over the batch, or None when not wanted;
+    input grads, one per row).
     """
-    n_layers = len(model.weights)
-    wg = [None] * n_layers
-    bg = [None] * n_layers
+    parts = []  # b_l, W_l for l = L-1 .. 0: the parameter layout reversed
     d = g_logits
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(len(model.weights) - 1, -1, -1):
         a_prev = tr.hiddens[l - 1] if l > 0 else tr.inputs
         if want_param_grads:
-            wg[l] = d.T @ a_prev
-            bg[l] = d.sum(axis=0)
+            parts += [d.sum(axis=0), (d.T @ a_prev).ravel()]
         d = d @ model.weights[l]
         if l > 0:
             d = d * (1.0 - a_prev * a_prev)
-    return wg, bg, d
+    return (np.concatenate(parts[::-1]) if want_param_grads else None), d
 
 
 def _softmax_vjp(p, g):
@@ -179,16 +219,16 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     g[rows, labels] -= 1.0
     if weights is not None:
         g = g * np.asarray(weights)[:, None]
-    wg, bg, xg = _backward_from_logits(model, tr, g)
-    return losses, GradientBundle(tuple(wg), tuple(bg)), xg
+    grads, xg = _backward_from_logits(model, tr, g)
+    return losses, grads, xg
 
 
 def backward_ce(model, trace: ForwardTrace, label: int):
-    """Loss -log p[label] and its gradients for one example."""
+    """(loss -log p[label], flat parameter grads, input grad) for one example."""
     if not 0 <= int(label) < model.n_classes:
         raise ValueError(f"label {label} out of range for {model.n_classes} classes")
     losses, grads, xg = backward_ce_batch(model, _batch_trace(model, trace), [int(label)])
-    return float(losses[0]), GradientBundle(grads.weight_grads, grads.bias_grads, xg[0])
+    return float(losses[0]), grads, xg[0]
 
 
 def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed, weights=None):
@@ -196,18 +236,16 @@ def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed, weights=None
     seed = np.asarray(seed, dtype=np.float64)
     if weights is not None:
         seed = seed * np.asarray(weights)[:, None]
-    g = _softmax_vjp(tr.posteriors, seed)
-    wg, bg, xg = _backward_from_logits(model, tr, g)
-    return GradientBundle(tuple(wg), tuple(bg)), xg
+    return _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, seed))
 
 
 def backward_scalar_of_posterior(model, trace: ForwardTrace, dvalue_dposterior):
-    """Gradients of a scalar s given ds/dposterior, for one example."""
+    """(flat parameter grads, input grad) of a scalar s given ds/dposterior."""
     seed = np.asarray(dvalue_dposterior, dtype=np.float64)
     if seed.shape != (model.n_classes,):
         raise ValueError(f"seed must have shape ({model.n_classes},), got {seed.shape}")
     grads, xg = backward_scalar_of_posterior_batch(model, _batch_trace(model, trace), seed[None, :])
-    return GradientBundle(grads.weight_grads, grads.bias_grads, xg[0])
+    return grads, xg[0]
 
 
 def input_jacobian_batch(model, tr: BatchTrace) -> np.ndarray:
@@ -217,8 +255,7 @@ def input_jacobian_batch(model, tr: BatchTrace) -> np.ndarray:
     for k in range(m):
         p = tr.posteriors
         g = p * (np.eye(1, m, k) - p[:, k : k + 1])  # row k of the softmax Jacobian
-        _, _, xg = _backward_from_logits(model, tr, g, want_param_grads=False)
-        jac[:, k, :] = xg
+        _, jac[:, k, :] = _backward_from_logits(model, tr, g, want_param_grads=False)
     return jac
 
 
@@ -236,14 +273,14 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
     a tangent pass propagates the directional derivative of the posterior
     along c_k, and a reverse pass over the combined graph accumulates
     d <J_k, c_k> / d theta. Doubling the sum over k gives the gradient of
-    ||J||_F^2. Returns (values (B,), GradientBundle summed over the batch).
+    ||J||_F^2. Returns (values (B,), flat parameter grads summed over the batch).
     """
     jac = input_jacobian_batch(model, tr)
     values = np.sum(jac * jac, axis=(1, 2))
     w = None if weights is None else np.asarray(weights)[:, None]
     n_layers = len(model.weights)
-    wg = [np.zeros_like(wl) for wl in model.weights]
-    bg = [np.zeros_like(bl) for bl in model.biases]
+    grads = np.zeros(model.params.size)
+    wg, bg = unflatten(model.layer_dims, grads)
     p = tr.posteriors
     m = model.n_classes
 
@@ -271,8 +308,8 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
         for l in range(n_layers - 1, -1, -1):
             a_prev = tr.hiddens[l - 1] if l > 0 else tr.inputs
             da_prev = tangents[l - 1][2] if l > 0 else jac[:, k, :]
-            wg[l] += g_z.T @ a_prev + g_dz.T @ da_prev
-            bg[l] += g_z.sum(axis=0)
+            wg[l][...] += g_z.T @ a_prev + g_dz.T @ da_prev
+            bg[l][...] += g_z.sum(axis=0)
             g_a = g_z @ model.weights[l]
             g_da = g_dz @ model.weights[l]
             if l > 0:
@@ -282,15 +319,12 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
                 g_a = g_a - 2.0 * a * dz * g_da  # dependency of the tangent on a
                 g_z = sech2 * g_a
 
-    grads = GradientBundle(tuple(2.0 * g for g in wg), tuple(2.0 * g for g in bg))
-    return values, grads
+    return values, 2.0 * grads
 
 
-def apply_update(model: MlpModel, grads: GradientBundle, step) -> MlpModel:
+def apply_update(model: MlpModel, grads: np.ndarray, step) -> MlpModel:
     """New model with parameters theta - step * grad, elementwise."""
-    weights = tuple(w - step * g for w, g in zip(model.weights, grads.weight_grads))
-    biases = tuple(b - step * g for b, g in zip(model.biases, grads.bias_grads))
-    return MlpModel(model.layer_dims, weights, biases)
+    return model.with_params(model.params - step * grads)
 
 
 def model_to_dict(model: MlpModel) -> dict:
@@ -306,9 +340,7 @@ def model_from_dict(doc: dict) -> MlpModel:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
     dims = tuple(int(d) for d in doc["layer_dims"])
-    weights = tuple(np.asarray(w, dtype=np.float64) for w in doc["weights"])
-    biases = tuple(np.asarray(b, dtype=np.float64) for b in doc["biases"])
-    return MlpModel(dims, weights, biases)
+    return MlpModel(dims, pack_params(dims, doc["weights"], doc["biases"]))
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -30,6 +30,7 @@ from .divergences import (
 from .regularizers import (
     PerturbationConfig,
     RegularizerSpec,
+    jr_penalty,
     l2_vs_kl_bound_check,
     quadratic_penalty,
     rpt_penalty,
@@ -93,7 +94,7 @@ def _random_model(rng: RandomSource, n_in: int, hidden, m: int) -> mlp.MlpModel:
         g = rng.split(l).generator()
         weights.append(g.standard_normal((dims[l + 1], dims[l])) * (0.7 / np.sqrt(dims[l])))
         biases.append(g.standard_normal(dims[l + 1]) * 0.2)
-    return mlp.MlpModel(dims, tuple(weights), tuple(biases))
+    return mlp.MlpModel(dims, mlp.pack_params(dims, weights, biases))
 
 
 _SHAPES = ((2, (), 2), (2, (5,), 2), (3, (6,), 3), (4, (5, 4), 3), (2, (8, 8), 2))
@@ -106,53 +107,23 @@ def _model_instance(rng: RandomSource, i: int):
     return model, x
 
 
-def _shift_param(model: mlp.MlpModel, layer: int, idx, delta: float, is_bias: bool) -> mlp.MlpModel:
-    ws, bs = list(model.weights), list(model.biases)
-    if is_bias:
-        arr = bs[layer].copy()
-        arr[idx] += delta
-        bs[layer] = arr
-    else:
-        arr = ws[layer].copy()
-        arr[idx] += delta
-        ws[layer] = arr
-    return mlp.MlpModel(model.layer_dims, tuple(ws), tuple(bs))
+def _fd_param_grads(value_fn, model, h: float = 1e-5) -> np.ndarray:
+    """Centered finite differences of value_fn over every entry of
+    model.params, for any model with `params` and `with_params`.
+    """
+    grads = np.empty(model.params.size)
+    for k in range(model.params.size):
+        up, down = model.params.copy(), model.params.copy()
+        up[k] += h
+        down[k] -= h
+        grads[k] = (value_fn(model.with_params(up)) - value_fn(model.with_params(down))) / (2 * h)
+    return grads
 
 
-def _fd_param_grads(value_fn, model: mlp.MlpModel, h: float = 1e-5):
-    """Centered finite differences of value_fn over every parameter."""
-    wg, bg = [], []
-    for l, w in enumerate(model.weights):
-        g = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            g[idx] = (
-                value_fn(_shift_param(model, l, idx, h, False))
-                - value_fn(_shift_param(model, l, idx, -h, False))
-            ) / (2 * h)
-        wg.append(g)
-    for l, b in enumerate(model.biases):
-        g = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            g[idx] = (
-                value_fn(_shift_param(model, l, idx, h, True))
-                - value_fn(_shift_param(model, l, idx, -h, True))
-            ) / (2 * h)
-        bg.append(g)
-    return wg, bg
-
-
-def _grad_rel_err(analytic: mlp.GradientBundle, fd_w, fd_b) -> float:
-    worst = 0.0
-    scale = 1e-8
-    for a, f in zip(analytic.weight_grads, fd_w):
-        scale = max(scale, float(np.max(np.abs(f))))
-    for a, f in zip(analytic.bias_grads, fd_b):
-        scale = max(scale, float(np.max(np.abs(f))))
-    for a, f in zip(analytic.weight_grads, fd_w):
-        worst = max(worst, float(np.max(np.abs(a - f))))
-    for a, f in zip(analytic.bias_grads, fd_b):
-        worst = max(worst, float(np.max(np.abs(a - f))))
-    return worst / scale
+def _grad_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """Max entry deviation of flat gradients, relative to the largest FD entry."""
+    scale = max(1e-8, float(np.max(np.abs(fd))))
+    return float(np.max(np.abs(analytic - fd))) / scale
 
 
 # ---------------------------------------------------------------- divergence
@@ -346,22 +317,18 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         g = rng.split(22, i, 5).generator()
         label = int(g.integers(model.n_classes))
         tr = mlp.forward(model, x)
-        _, bundle = mlp.backward_ce(model, tr, label)
-        fd_w, fd_b = _fd_param_grads(
-            lambda mm: mlp.backward_ce(mm, mlp.forward(mm, x), label)[0], model)
-        ce_err = max(ce_err, _grad_rel_err(bundle, fd_w, fd_b))
+        _, grads, _ = mlp.backward_ce(model, tr, label)
+        fd = _fd_param_grads(lambda mm: mlp.backward_ce(mm, mlp.forward(mm, x), label)[0], model)
+        ce_err = max(ce_err, _grad_rel_err(grads, fd))
 
         s = g.standard_normal(model.n_classes)
-        bundle2 = mlp.backward_scalar_of_posterior(model, tr, s)
-        fd_w, fd_b = _fd_param_grads(lambda mm: float(mlp.posterior(mm, x) @ s), model)
-        seed_err = max(seed_err, _grad_rel_err(bundle2, fd_w, fd_b))
-
-        from .regularizers import jr_penalty
+        grads, _ = mlp.backward_scalar_of_posterior(model, tr, s)
+        fd = _fd_param_grads(lambda mm: float(mlp.posterior(mm, x) @ s), model)
+        seed_err = max(seed_err, _grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)
-        fd_w, fd_b = _fd_param_grads(
-            lambda mm: float(np.sum(mlp.input_jacobian(mm, x) ** 2)), model)
-        jr_err = max(jr_err, _grad_rel_err(res.param_grads, fd_w, fd_b))
+        fd = _fd_param_grads(lambda mm: float(np.sum(mlp.input_jacobian(mm, x) ** 2)), model)
+        jr_err = max(jr_err, _grad_rel_err(res.param_grads, fd))
     out.append(PropertyResult("ce_grads_match_fd", ce_err <= 1e-4, 1e-4 - ce_err,
                               f"max relative deviation = {ce_err:.3e}"))
     out.append(PropertyResult("posterior_scalar_grads_match_fd", seed_err <= 1e-4, 1e-4 - seed_err,
@@ -455,9 +422,8 @@ def _steep_boundary_instance(rng: RandomSource, i: int):
     shapes = ((2, (5,), 2), (3, (6,), 2), (4, (5, 4), 2))
     n_in, hidden, m = shapes[i % 3]
     base = _random_model(rng.split(i), n_in, hidden, m)
-    model = mlp.MlpModel(base.layer_dims,
-                         tuple(w * 10.0 for w in base.weights),
-                         tuple(b * 0.5 for b in base.biases))
+    model = mlp.MlpModel(base.layer_dims, mlp.pack_params(
+        base.layer_dims, [w * 10.0 for w in base.weights], [b * 0.5 for b in base.biases]))
     for attempt in range(400):
         cand = gaussian_vec(rng.split(i, 7, attempt), n_in)
         if float(mlp.posterior(model, cand).min()) > 0.25:
@@ -575,15 +541,13 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
                 ratio = np.maximum(qv, PROB_FLOOR) / np.maximum(p_clean, PROB_FLOOR)
                 return float(np.sum(p_clean * gen.g(ratio)))
 
-            fd_w, fd_b = _fd_param_grads(frozen, model)
-            rpt_err = max(rpt_err, _grad_rel_err(res.param_grads, fd_w, fd_b))
+            rpt_err = max(rpt_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
 
             vspec = RegularizerSpec("vat", kind,
                                     perturbation=PerturbationConfig(radius=0.2, ascent_steps=2))
             vres = vat_penalty(model, x, vspec, src)
-            fd_w, fd_b = _fd_param_grads(
-                lambda mm: frozen(mm, eps=vres.adversarial_direction), model)
-            vat_err = max(vat_err, _grad_rel_err(vres.param_grads, fd_w, fd_b))
+            fd = _fd_param_grads(lambda mm: frozen(mm, eps=vres.adversarial_direction), model)
+            vat_err = max(vat_err, _grad_rel_err(vres.param_grads, fd))
     out.append(PropertyResult("rpt_grads_match_fd", rpt_err <= 1e-4, 1e-4 - rpt_err,
                               f"max relative deviation = {rpt_err:.3e}"))
     out.append(PropertyResult("vat_grads_match_fd", vat_err <= 1e-4, 1e-4 - vat_err,
@@ -595,9 +559,10 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
 
 def _random_span_model(rng: RandomSource, n_feat=3, hidden=(6,), d=4) -> sp.SpanModel:
     base = sp.init_span_model((n_feat, *hidden, d), rng)
-    # rescale to generic size
-    ws = tuple(w * 1.3 for w in base.enc_weights)
-    return sp.SpanModel(base.enc_dims, ws, base.enc_biases, base.w_begin * 2.0, base.w_end * 2.0)
+    n_enc = base.encoder.params.size
+    # rescale to generic size: the encoder by 1.3 (its biases start at zero),
+    # the two scorers by 2
+    return base.with_params(np.concatenate([base.params[:n_enc] * 1.3, base.params[n_enc:] * 2.0]))
 
 
 def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
@@ -624,8 +589,8 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
                               1e-12 - perm_dev, f"max deviation = {perm_dev:.3e}"))
 
     model = _random_span_model(rng.split(41))
-    zero = sp.SpanModel(model.enc_dims, model.enc_weights, model.enc_biases,
-                        np.zeros_like(model.w_begin), np.zeros_like(model.w_end))
+    zero = sp.make_span_model(model.encoder, np.zeros_like(model.w_begin),
+                              np.zeros_like(model.w_end))
     g = rng.split(41, 1).generator()
     t = 6
     feats = g.standard_normal((t, model.n_features))
@@ -702,8 +667,8 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         feats = g.standard_normal((t, model.n_features))
         start, end = int(g.integers(t)), int(g.integers(t))
         _, grads = sp.span_loss(model, feats, start, end)
-        fd = _fd_span_grads(lambda mm: sp.span_loss(mm, feats, start, end)[0], model)
-        loss_err = max(loss_err, _span_grad_rel_err(grads, fd))
+        fd = _fd_param_grads(lambda mm: sp.span_loss(mm, feats, start, end)[0], model)
+        loss_err = max(loss_err, _grad_rel_err(grads, fd))
 
         spec = RegularizerSpec("vat", "KL",
                                perturbation=PerturbationConfig(radius=0.3, ascent_steps=1))
@@ -719,8 +684,7 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             re = np.maximum(trn.end_probs, PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
             return float(np.sum(p_b * gen.g(rb)) + np.sum(p_e * gen.g(re)))
 
-        fd = _fd_span_grads(frozen, model)
-        pen_err = max(pen_err, _span_grad_rel_err(res.grads, fd))
+        pen_err = max(pen_err, _grad_rel_err(res.grads, _fd_param_grads(frozen, model)))
     out.append(PropertyResult("span_loss_grads_match_fd", loss_err <= 1e-4, 1e-4 - loss_err,
                               f"max relative deviation = {loss_err:.3e}"))
     out.append(PropertyResult("span_penalty_grads_match_fd", pen_err <= 1e-4, 1e-4 - pen_err,
@@ -737,63 +701,6 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     out.append(PropertyResult("loss_step_decreases", dec_ok, loss0 - loss1,
                               f"{loss0:.6f} -> {loss1:.6f}"))
     return out
-
-
-def _fd_span_grads(value_fn, model: sp.SpanModel, h: float = 1e-5):
-    out = {"w": [], "b": [], "wb": None, "we": None}
-    for l, w in enumerate(model.enc_weights):
-        g = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            g[idx] = (value_fn(_shift_span(model, ("w", l, idx), h))
-                      - value_fn(_shift_span(model, ("w", l, idx), -h))) / (2 * h)
-        out["w"].append(g)
-    for l, b in enumerate(model.enc_biases):
-        g = np.zeros_like(b)
-        for idx in np.ndindex(b.shape):
-            g[idx] = (value_fn(_shift_span(model, ("b", l, idx), h))
-                      - value_fn(_shift_span(model, ("b", l, idx), -h))) / (2 * h)
-        out["b"].append(g)
-    for name in ("wb", "we"):
-        vec = model.w_begin if name == "wb" else model.w_end
-        g = np.zeros_like(vec)
-        for idx in np.ndindex(vec.shape):
-            g[idx] = (value_fn(_shift_span(model, (name, 0, idx), h))
-                      - value_fn(_shift_span(model, (name, 0, idx), -h))) / (2 * h)
-        out[name] = g
-    return out
-
-
-def _shift_span(model: sp.SpanModel, loc, delta: float) -> sp.SpanModel:
-    what, l, idx = loc
-    ws, bs = list(model.enc_weights), list(model.enc_biases)
-    wb, we = model.w_begin, model.w_end
-    if what == "w":
-        arr = ws[l].copy()
-        arr[idx] += delta
-        ws[l] = arr
-    elif what == "b":
-        arr = bs[l].copy()
-        arr[idx] += delta
-        bs[l] = arr
-    elif what == "wb":
-        wb = wb.copy()
-        wb[idx] += delta
-    else:
-        we = we.copy()
-        we[idx] += delta
-    return sp.SpanModel(model.enc_dims, tuple(ws), tuple(bs), wb, we)
-
-
-def _span_grad_rel_err(grads: sp.SpanGradients, fd) -> float:
-    worst = 0.0
-    scale = 1e-8
-    pairs = list(zip(grads.enc_weight_grads, fd["w"])) + list(zip(grads.enc_bias_grads, fd["b"]))
-    pairs.append((grads.w_begin_grad, fd["wb"]))
-    pairs.append((grads.w_end_grad, fd["we"]))
-    for a, f in pairs:
-        scale = max(scale, float(np.max(np.abs(f))))
-        worst = max(worst, float(np.max(np.abs(a - f))))
-    return worst / scale
 
 
 def run_suite(name: str, trials: int = 1000, seed: int = 1, generators=None) -> list[PropertyResult]:

@@ -65,23 +65,8 @@ class RegularizerSpec:
 @dataclass(frozen=True)
 class PenaltyResult:
     value: float
-    param_grads: mlp.GradientBundle
+    param_grads: np.ndarray  # flat, in the model's parameter layout
     adversarial_direction: np.ndarray | None = None
-
-
-def _zero_grads(model):
-    return (
-        [np.zeros_like(w) for w in model.weights],
-        [np.zeros_like(b) for b in model.biases],
-    )
-
-
-def _accumulate(acc, grads, scale=1.0):
-    wacc, bacc = acc
-    for a, g in zip(wacc, grads.weight_grads):
-        a += scale * g
-    for a, g in zip(bacc, grads.bias_grads):
-        a += scale * g
 
 
 def _divergence_rows(gen: Generator, p_noisy, p_clean):
@@ -107,14 +92,15 @@ def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
                       weights=None):
     """Random-perturbation penalty for a batch; one RandomRows row per batch row.
 
-    Returns (values (B,), GradientBundle summed over rows and averaged over
-    samples). Draw s for row i comes from row i of rows.split(s), so values
+    Returns (values (B,), flat parameter grads summed over rows and averaged
+    over samples). Draw s for row i comes from row i of rows.split(s), so values
     do not depend on batch composition.
     """
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
     b, n = tr.inputs.shape
-    acc = _zero_grads(model)
+    scale = 1.0 / cfg.samples_per_example
+    acc = np.zeros(model.params.size)
     values = np.zeros(b)
     for s in range(cfg.samples_per_example):
         eps = gaussian_rows(rows.split(s), n, cfg.radius)
@@ -122,14 +108,14 @@ def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
         vals, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         values += vals
         grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed, weights)
-        _accumulate(acc, grads, 1.0 / cfg.samples_per_example)
+        acc += scale * grads
         if spec.through_clean:
             grads_c, _ = mlp.backward_scalar_of_posterior_batch(
                 model, tr, _clean_branch_seed(gen, ratio), weights
             )
-            _accumulate(acc, grads_c, 1.0 / cfg.samples_per_example)
+            acc += scale * grads_c
     values /= cfg.samples_per_example
-    return values, mlp.GradientBundle(tuple(acc[0]), tuple(acc[1]))
+    return values, acc
 
 
 def _project(delta, cfg: PerturbationConfig):
@@ -145,7 +131,7 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
 
     Ascent runs strictly per example: each row climbs its own divergence.
     With ascent_steps=0 this degrades to a single projected random draw.
-    Returns (values, summed GradientBundle, perturbations (B, n)).
+    Returns (values, flat parameter grads summed over rows, perturbations (B, n)).
     """
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
@@ -165,13 +151,10 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
     values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
     grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed, weights)
     if spec.through_clean:
-        acc = _zero_grads(model)
-        _accumulate(acc, grads)
         grads_c, _ = mlp.backward_scalar_of_posterior_batch(
             model, tr, _clean_branch_seed(gen, ratio), weights
         )
-        _accumulate(acc, grads_c)
-        grads = mlp.GradientBundle(tuple(acc[0]), tuple(acc[1]))
+        grads = grads + grads_c
     return values, grads, delta
 
 
@@ -190,7 +173,10 @@ def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyRe
 
 
 def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows, weights=None):
-    """Dispatch on spec.kind; returns (values (B,), GradientBundle)."""
+    """Dispatch on spec.kind; returns (values (B,), flat parameter grads).
+
+    rows may be None for jr, which draws nothing.
+    """
     if spec.kind == "jr":
         return mlp.jacobian_sq_norm_grads_batch(model, tr, weights)
     if spec.kind == "rpt":

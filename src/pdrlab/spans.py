@@ -13,41 +13,58 @@ not defined for this head.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as mlp
 from .divergences import PROB_FLOOR, generator
-from .regularizers import PerturbationConfig, RegularizerSpec, _ASCENT_NORM_FLOOR
+from .regularizers import RegularizerSpec, _ASCENT_NORM_FLOOR, _divergence_rows, _project
 from .tensor import RandomSource, softmax
 
 
-@dataclass(frozen=True)
 class SpanModel:
-    enc_dims: tuple[int, ...]  # feature size, hidden..., encoding size
-    enc_weights: tuple[np.ndarray, ...]
-    enc_biases: tuple[np.ndarray, ...]
-    w_begin: np.ndarray
-    w_end: np.ndarray
+    """Immutable parameters in one read-only float64 vector laid out
+    [encoder layout, w_begin, w_end]. `encoder` is an MlpModel over the
+    leading slice (its last layer is the linear encoding), and w_begin,
+    w_end are views of the two trailing d-vectors. Parameter gradients are
+    flat arrays in the same layout.
+    """
 
-    def __post_init__(self):
-        if len(self.enc_dims) < 2:
+    __slots__ = ("enc_dims", "params", "encoder", "w_begin", "w_end")
+
+    def __init__(self, enc_dims, params):
+        dims = tuple(map(int, enc_dims))
+        if len(dims) < 2:
             raise ValueError("enc_dims needs at least feature and encoding sizes")
-        d = self.enc_dims[-1]
-        if self.w_begin.shape != (d,) or self.w_end.shape != (d,):
-            raise ValueError("scorer weights must match the encoding size")
-        for arr in (*self.enc_weights, *self.enc_biases, self.w_begin, self.w_end):
-            arr.setflags(write=False)
+        params = np.asarray(params, dtype=np.float64)
+        n_enc, d = mlp.n_params(dims), dims[-1]
+        if params.shape != (n_enc + 2 * d,):
+            raise ValueError(f"params must have shape ({n_enc + 2 * d},) for enc_dims {dims}, "
+                             f"got {params.shape}")
+        params.setflags(write=False)
+        self.enc_dims = dims
+        self.params = params
+        self.encoder = mlp.MlpModel(dims, params[:n_enc])
+        self.w_begin = params[n_enc : n_enc + d]
+        self.w_end = params[n_enc + d :]
 
     @property
     def n_features(self) -> int:
         return self.enc_dims[0]
 
+    def with_params(self, params) -> "SpanModel":
+        return SpanModel(self.enc_dims, params)
+
+
+def make_span_model(encoder: mlp.MlpModel, w_begin, w_end) -> SpanModel:
+    """Span model from an encoder and the two scoring vectors."""
+    return SpanModel(encoder.layer_dims, np.concatenate([encoder.params, w_begin, w_end]))
+
 
 @dataclass(frozen=True)
 class SpanTrace:
-    features: np.ndarray  # (T, n_feat)
+    inputs: np.ndarray  # (T, n_feat) features
     hiddens: tuple[np.ndarray, ...]
     encodings: np.ndarray  # (T, d)
     begin_scores: np.ndarray
@@ -57,39 +74,18 @@ class SpanTrace:
 
 
 @dataclass(frozen=True)
-class SpanGradients:
-    enc_weight_grads: tuple[np.ndarray, ...]
-    enc_bias_grads: tuple[np.ndarray, ...]
-    w_begin_grad: np.ndarray
-    w_end_grad: np.ndarray
-    feature_grad: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class SpanPenaltyResult:
     value: float
-    grads: SpanGradients
+    grads: np.ndarray  # flat, in the span model's parameter layout
     adversarial_direction: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class SpanExample:
-    features: np.ndarray  # (T, n_feat)
-    start: int | None
-    end: int | None
-
-
 def init_span_model(enc_dims, rng: RandomSource) -> SpanModel:
-    dims = tuple(int(d) for d in enc_dims)
-    weights, biases = [], []
-    for l in range(len(dims) - 1):
-        flat = rng.split(0, l).generator().standard_normal(dims[l + 1] * dims[l])
-        weights.append((flat / np.sqrt(dims[l])).reshape(dims[l + 1], dims[l]))
-        biases.append(np.zeros(dims[l + 1]))
-    d = dims[-1]
+    encoder = mlp.init_mlp(enc_dims, rng.split(0))
+    d = encoder.layer_dims[-1]
     w_begin = rng.split(1, 0).generator().standard_normal(d) / np.sqrt(d)
     w_end = rng.split(1, 1).generator().standard_normal(d) / np.sqrt(d)
-    return SpanModel(dims, tuple(weights), tuple(biases), w_begin, w_end)
+    return make_span_model(encoder, w_begin, w_end)
 
 
 def _check_features(model: SpanModel, features) -> np.ndarray:
@@ -105,15 +101,10 @@ def _check_features(model: SpanModel, features) -> np.ndarray:
 
 def span_forward(model: SpanModel, features) -> SpanTrace:
     f = _check_features(model, features)
-    hiddens = []
-    a = f
-    for w, b in zip(model.enc_weights[:-1], model.enc_biases[:-1]):
-        a = np.tanh(a @ w.T + b)
-        hiddens.append(a)
-    h = a @ model.enc_weights[-1].T + model.enc_biases[-1]  # linear encoding
+    hiddens, h = mlp._forward_core(model.encoder, f)
     sb = h @ model.w_begin
     se = h @ model.w_end
-    return SpanTrace(f, tuple(hiddens), h, sb, se, softmax(sb), softmax(se))
+    return SpanTrace(f, hiddens, h, sb, se, softmax(sb), softmax(se))
 
 
 def span_distributions(model: SpanModel, features):
@@ -127,42 +118,19 @@ def joint_span_table(model: SpanModel, features) -> np.ndarray:
     return np.outer(pb, pe)
 
 
-def _encoder_backward(model: SpanModel, tr: SpanTrace, g_h, want_param_grads=True):
-    """Backpropagate d(scalar)/d(encodings) to encoder params and features."""
-    n_layers = len(model.enc_weights)
-    wg = [None] * n_layers
-    bg = [None] * n_layers
-    d = g_h
-    for l in range(n_layers - 1, -1, -1):
-        a_prev = tr.hiddens[l - 1] if l > 0 else tr.features
-        if want_param_grads:
-            wg[l] = d.T @ a_prev
-            bg[l] = d.sum(axis=0)
-        d = d @ model.enc_weights[l]
-        if l > 0:
-            d = d * (1.0 - a_prev * a_prev)
-    return wg, bg, d
-
-
 def _scores_backward(model, tr: SpanTrace, g_sb, g_se, want_param_grads=True):
-    """Gradients from seeds on the two score vectors."""
+    """(flat parameter grads or None, feature grads) from score-vector seeds."""
     g_h = np.outer(g_sb, model.w_begin) + np.outer(g_se, model.w_end)
-    wg, bg, fg = _encoder_backward(model, tr, g_h, want_param_grads)
+    enc_grads, fg = mlp._backward_from_logits(model.encoder, tr, g_h, want_param_grads)
     if not want_param_grads:
         return None, fg
-    grads = SpanGradients(
-        tuple(wg), tuple(bg),
-        w_begin_grad=tr.encodings.T @ g_sb,
-        w_end_grad=tr.encodings.T @ g_se,
-        feature_grad=fg,
-    )
-    return grads, fg
+    return np.concatenate([enc_grads, tr.encodings.T @ g_sb, tr.encodings.T @ g_se]), fg
 
 
 def span_loss(model: SpanModel, features, start: int, end: int):
-    """Negative log-probability of the (start, end) span, with gradients."""
+    """Negative log-probability of the (start, end) span, with flat gradients."""
     tr = span_forward(model, features)
-    t = tr.features.shape[0]
+    t = tr.inputs.shape[0]
     if not (0 <= int(start) < t and 0 <= int(end) < t):
         raise ValueError(f"span ({start}, {end}) out of range for {t} positions")
     m_b, m_e = tr.begin_scores.max(), tr.end_scores.max()
@@ -178,35 +146,19 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     return float(loss), grads
 
 
-def _div_value_and_seed(gen, p_noisy, p_clean):
-    ratio = np.maximum(p_noisy, PROB_FLOOR) / np.maximum(p_clean, PROB_FLOOR)
-    return float(np.sum(p_clean * gen.g(ratio))), gen.g_prime(ratio)
-
-
-def _softmax_vjp_vec(p, g):
-    return p * (g - np.dot(p, g))
-
-
 def _term_value_and_score_seeds(gen, trn: SpanTrace, tr: SpanTrace):
-    vb, seed_b = _div_value_and_seed(gen, trn.begin_probs, tr.begin_probs)
-    ve, seed_e = _div_value_and_seed(gen, trn.end_probs, tr.end_probs)
-    g_sb = _softmax_vjp_vec(trn.begin_probs, seed_b)
-    g_se = _softmax_vjp_vec(trn.end_probs, seed_e)
-    return vb + ve, g_sb, g_se
+    vb, seed_b, _ = _divergence_rows(gen, trn.begin_probs, tr.begin_probs)
+    ve, seed_e, _ = _divergence_rows(gen, trn.end_probs, tr.end_probs)
+    g_sb = mlp._softmax_vjp(trn.begin_probs, seed_b)
+    g_se = mlp._softmax_vjp(trn.end_probs, seed_e)
+    return float(vb) + float(ve), g_sb, g_se
 
 
 def _ascent_direction(model, tr, gen, delta):
-    trn = span_forward(model, tr.features + delta)
+    trn = span_forward(model, tr.inputs + delta)
     _, g_sb, g_se = _term_value_and_score_seeds(gen, trn, tr)
     _, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads=False)
     return fg
-
-
-def _project_flat(delta, cfg: PerturbationConfig):
-    if cfg.norm_kind == "linf":
-        return np.clip(delta, -cfg.radius, cfg.radius)
-    nrm = np.sqrt(np.sum(delta * delta))
-    return cfg.radius * delta / nrm if nrm > 0 else delta
 
 
 def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomSource) -> SpanPenaltyResult:
@@ -224,20 +176,20 @@ def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomS
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
     tr = span_forward(model, features)
-    shape = tr.features.shape
+    shape = tr.inputs.shape
 
     if spec.kind == "rpt":
         acc_value = 0.0
         acc = None
         for s in range(cfg.samples_per_example):
             eps = rng.split(s).generator().standard_normal(shape) * cfg.radius
-            trn = span_forward(model, tr.features + eps)
+            trn = span_forward(model, tr.inputs + eps)
             value, g_sb, g_se = _term_value_and_score_seeds(gen, trn, tr)
             grads, _ = _scores_backward(model, trn, g_sb, g_se)
             acc_value += value
-            acc = grads if acc is None else _add_span_grads(acc, grads)
+            acc = grads if acc is None else acc + grads
         k = cfg.samples_per_example
-        return SpanPenaltyResult(acc_value / k, _scale_span_grads(acc, 1.0 / k))
+        return SpanPenaltyResult(acc_value / k, (1.0 / k) * acc)
 
     delta = rng.split(0).generator().standard_normal(shape) * cfg.init_std
     for _ in range(cfg.ascent_steps):
@@ -245,30 +197,11 @@ def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomS
         nrm = np.sqrt(np.sum(g * g))
         if nrm >= _ASCENT_NORM_FLOOR:
             delta = delta + cfg.step_size * g / nrm
-    delta = _project_flat(delta, cfg)
-    trn = span_forward(model, tr.features + delta)
+    delta = _project(delta.reshape(-1), cfg).reshape(shape)
+    trn = span_forward(model, tr.inputs + delta)
     value, g_sb, g_se = _term_value_and_score_seeds(gen, trn, tr)
     grads, _ = _scores_backward(model, trn, g_sb, g_se)
     return SpanPenaltyResult(value, grads, delta)
-
-
-def _add_span_grads(a: SpanGradients, b: SpanGradients) -> SpanGradients:
-    return SpanGradients(
-        tuple(x + y for x, y in zip(a.enc_weight_grads, b.enc_weight_grads)),
-        tuple(x + y for x, y in zip(a.enc_bias_grads, b.enc_bias_grads)),
-        a.w_begin_grad + b.w_begin_grad,
-        a.w_end_grad + b.w_end_grad,
-    )
-
-
-def _scale_span_grads(g: SpanGradients, s: float) -> SpanGradients:
-    return SpanGradients(
-        tuple(s * x for x in g.enc_weight_grads),
-        tuple(s * x for x in g.enc_bias_grads),
-        s * g.w_begin_grad,
-        s * g.w_end_grad,
-        None if g.feature_grad is None else s * g.feature_grad,
-    )
 
 
 def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
@@ -278,7 +211,7 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
     features: (g''(1)/2) [eps^T J_b^T diag(1/P_b) J_b eps + (end term)].
     """
     tr = span_forward(model, features)
-    t = tr.features.shape[0]
+    t = tr.inputs.shape[0]
     eps_flat = np.asarray(eps, dtype=np.float64).reshape(-1)
     total = 0.0
     for probs, which in ((tr.begin_probs, "b"), (tr.end_probs, "e")):
@@ -286,7 +219,7 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
         for i in range(t):
             seed = np.zeros(t)
             seed[i] = 1.0
-            g_s = _softmax_vjp_vec(probs, seed)
+            g_s = mlp._softmax_vjp(probs, seed)
             if which == "b":
                 _, fg = _scores_backward(model, tr, g_s, np.zeros(t), want_param_grads=False)
             else:
@@ -296,44 +229,6 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
     return float(0.5 * gen.curvature_at_one * total)
 
 
-def apply_span_update(model: SpanModel, grads: SpanGradients, step) -> SpanModel:
-    return SpanModel(
-        model.enc_dims,
-        tuple(w - step * g for w, g in zip(model.enc_weights, grads.enc_weight_grads)),
-        tuple(b - step * g for b, g in zip(model.enc_biases, grads.enc_bias_grads)),
-        model.w_begin - step * grads.w_begin_grad,
-        model.w_end - step * grads.w_end_grad,
-    )
-
-
-def write_span_jsonl(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            doc = {
-                "features": np.asarray(ex.features, dtype=np.float64).tolist(),
-                "start": None if ex.start is None else int(ex.start),
-                "end": None if ex.end is None else int(ex.end),
-            }
-            fh.write(json.dumps(doc) + "\n")
-
-
-def read_span_jsonl(path) -> list[SpanExample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                features = np.asarray(doc["features"], dtype=np.float64)
-                if features.ndim != 2:
-                    raise ValueError("features must be a rectangular list of rows")
-                start, end = doc["start"], doc["end"]
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad span example: {exc}") from None
-            t = features.shape[0]
-            for name, idx in (("start", start), ("end", end)):
-                if idx is not None and not 0 <= int(idx) < t:
-                    raise ValueError(f"{path}:{lineno}: {name}={idx} out of range for {t} positions")
-            out.append(SpanExample(features, start, end))
-    return out
+def apply_span_update(model: SpanModel, grads: np.ndarray, step) -> SpanModel:
+    """New span model with parameters theta - step * grad, elementwise."""
+    return model.with_params(model.params - step * grads)

@@ -158,16 +158,6 @@ def permutation(rng: RandomSource, n: int) -> np.ndarray:
     return rng.generator().permutation(n)
 
 
-def as_vec(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array or raise."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has non-finite entries")
-    return v
-
-
 def as_mat(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array or raise."""
     m = np.asarray(x, dtype=np.float64)

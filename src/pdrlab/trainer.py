@@ -9,6 +9,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -51,15 +52,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class AdamState:
-    t: int
-    m_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class EvalReport:
     accuracy: float
     mean_ce: float
@@ -83,29 +75,20 @@ def init_model_for(ds: Dataset, hidden_dims, seed: int) -> mlp.MlpModel:
     return mlp.init_mlp(dims, RandomSource(seed).split(_INIT))
 
 
-def adam_init(model: mlp.MlpModel) -> AdamState:
-    zw = tuple(np.zeros_like(w) for w in model.weights)
-    zb = tuple(np.zeros_like(b) for b in model.biases)
-    return AdamState(0, zw, zb, tuple(np.zeros_like(w) for w in model.weights),
-                     tuple(np.zeros_like(b) for b in model.biases))
+def adam_init(model: mlp.MlpModel):
+    """Adam state (t, first moments, second moments) over the flat parameters."""
+    return 0, np.zeros(model.params.size), np.zeros(model.params.size)
 
 
-def adam_step(state: AdamState, grads: mlp.GradientBundle, learning_rate: float,
+def adam_step(state, grads: np.ndarray, learning_rate: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One bias-corrected moment update; returns (state, update to subtract)."""
-    t = state.t + 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-
-    def moments(m_old, v_old, gs):
-        m = tuple(beta1 * m + (1.0 - beta1) * g for m, g in zip(m_old, gs))
-        v = tuple(beta2 * v + (1.0 - beta2) * g * g for v, g in zip(v_old, gs))
-        upd = tuple(learning_rate * (m_ / c1) / (np.sqrt(v_ / c2) + eps) for m_, v_ in zip(m, v))
-        return m, v, upd
-
-    mw, vw, uw = moments(state.m_weights, state.v_weights, grads.weight_grads)
-    mb, vb, ub = moments(state.m_biases, state.v_biases, grads.bias_grads)
-    return AdamState(t, mw, mb, vw, vb), mlp.GradientBundle(uw, ub)
+    t, m, v = state
+    t += 1
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    update = learning_rate * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    return (t, m, v), update
 
 
 def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
@@ -127,16 +110,15 @@ def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
     return EvalReport(float(np.mean(preds == y)), float(np.mean(ces)), int(idx.size))
 
 
-def _combine(ce: mlp.GradientBundle, ce_scale, pen, pen_scale):
-    if pen is None:
-        return mlp.GradientBundle(
-            tuple(ce_scale * g for g in ce.weight_grads),
-            tuple(ce_scale * g for g in ce.bias_grads),
-        )
-    return mlp.GradientBundle(
-        tuple(ce_scale * g + pen_scale * h for g, h in zip(ce.weight_grads, pen.weight_grads)),
-        tuple(ce_scale * g + pen_scale * h for g, h in zip(ce.bias_grads, pen.bias_grads)),
-    )
+def _diverged(epoch: int, batch: int, term: str, exc: ValueError) -> ValueError:
+    return ValueError(f"training diverged at epoch {epoch}, batch {batch}, in the {term}: {exc}")
+
+
+def _finite_sum(total: float, value: float) -> float:
+    total += value
+    if not math.isfinite(total):
+        raise ValueError(f"running loss sum is {total}")
+    return total
 
 
 def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict | None = None) -> TrainRun:
@@ -168,27 +150,34 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
         order = permutation(rng.split(_SHUFFLE, epoch), n)
         ce_sum = 0.0
         pen_sum = 0.0
-        for lo in range(0, n, cfg.batch_size):
+        for b, lo in enumerate(range(0, n, cfg.batch_size)):
             batch = order[lo : lo + cfg.batch_size]
             X = ds.features[batch]
             w_b = weights[batch]
             n_lab = float(w_b.sum())
-            tr = mlp.forward_batch(model, X)
-            losses, ce_grads, _ = mlp.backward_ce_batch(model, tr, y_filled[batch], weights=w_b)
-            ce_sum += float(losses @ w_b)
-            pen_grads = None
-            pen_scale = 0.0
-            if spec.kind != "none":
-                rows = rng.split(_PENALTY, epoch).split_rows(batch)
-                values, pen_grads = penalty_batch(model, tr, spec, rows)
-                pen_sum += float(values.sum())
-                pen_scale = spec.alpha / len(batch)
-            grads = _combine(ce_grads, 1.0 / n_lab if n_lab else 0.0, pen_grads, pen_scale)
-            if cfg.optimizer == "adam":
-                state, update = adam_step(state, grads, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-                model = mlp.apply_update(model, update, 1.0)
-            else:
-                model = mlp.apply_update(model, grads, lr)
+            term = "cross-entropy"
+            try:
+                tr = mlp.forward_batch(model, X)
+                losses, ce_grads, _ = mlp.backward_ce_batch(model, tr, y_filled[batch], weights=w_b)
+                ce_sum = _finite_sum(ce_sum, float(losses @ w_b))
+                grads = (1.0 / n_lab if n_lab else 0.0) * ce_grads
+                if spec.kind != "none":
+                    term = "penalty"
+                    rows = None  # jr draws nothing, so it gets no row streams
+                    if spec.kind != "jr":
+                        rows = rng.split(_PENALTY, epoch).split_rows(batch)
+                    values, pen_grads = penalty_batch(model, tr, spec, rows)
+                    pen_sum = _finite_sum(pen_sum, float(values.sum()))
+                    grads = grads + (spec.alpha / len(batch)) * pen_grads
+                term = "parameter update"
+                if cfg.optimizer == "adam":
+                    state, update = adam_step(state, grads, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                    model = mlp.apply_update(model, update, 1.0)
+                else:
+                    model = mlp.apply_update(model, grads, lr)
+            except ValueError as exc:
+                # non-finite sums, parameters or logits: the run has diverged
+                raise _diverged(epoch, b, term, exc) from None
 
         mean_ce = ce_sum / n_labeled if n_labeled else 0.0
         mean_penalty = pen_sum / n if spec.kind != "none" else 0.0
@@ -199,7 +188,10 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
             "total_loss": float(mean_ce + spec.alpha * mean_penalty),
         }
         if n_labeled:
-            record["train_accuracy"] = evaluate(model, ds).accuracy
+            try:
+                record["train_accuracy"] = evaluate(model, ds).accuracy
+            except ValueError as exc:  # ds passed evaluate's checks above; logits overflowed
+                raise _diverged(epoch, b, "parameter update", exc) from None
         for name, eval_ds in eval_sets.items():
             record[f"eval_{name}_accuracy"] = evaluate(model, eval_ds).accuracy
         epoch_records.append(record)

@@ -136,15 +136,15 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         model, x = props._model_instance(rng.split(1), i)
         g = rng.split(1, i, 5).generator()
         label = int(g.integers(model.n_classes))
-        _, bundle = mlp.backward_ce(model, mlp.forward(model, x), label)
-        fd_w, fd_b = props._fd_param_grads(
+        _, grads, _ = mlp.backward_ce(model, mlp.forward(model, x), label)
+        fd = props._fd_param_grads(
             lambda mm: mlp.backward_ce(mm, mlp.forward(mm, x), label)[0], model)
-        worst_ce = max(worst_ce, props._grad_rel_err(bundle, fd_w, fd_b))
+        worst_ce = max(worst_ce, props._grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)
-        fd_w, fd_b = props._fd_param_grads(
+        fd = props._fd_param_grads(
             lambda mm: float(np.sum(mlp.input_jacobian(mm, x) ** 2)), model)
-        worst_jr = max(worst_jr, props._grad_rel_err(res.param_grads, fd_w, fd_b))
+        worst_jr = max(worst_jr, props._grad_rel_err(res.param_grads, fd))
     errs["ce"] = worst_ce
     errs["jr"] = worst_jr
 
@@ -165,15 +165,15 @@ def test_criterion_04_gradient_paths_match_finite_differences():
             spec = RegularizerSpec("rpt", kind, perturbation=PerturbationConfig(radius=0.2))
             res = rpt_penalty(model, x, spec, src)
             eps = gaussian_vec(src.split(0), x.size, 0.2)
-            fd_w, fd_b = props._fd_param_grads(lambda mm: frozen(mm, eps), model)
-            worst_rpt = max(worst_rpt, props._grad_rel_err(res.param_grads, fd_w, fd_b))
+            fd = props._fd_param_grads(lambda mm: frozen(mm, eps), model)
+            worst_rpt = max(worst_rpt, props._grad_rel_err(res.param_grads, fd))
 
             vspec = RegularizerSpec("vat", kind,
                                     perturbation=PerturbationConfig(radius=0.2, ascent_steps=2))
             vres = vat_penalty(model, x, vspec, src)
-            fd_w, fd_b = props._fd_param_grads(
+            fd = props._fd_param_grads(
                 lambda mm: frozen(mm, vres.adversarial_direction), model)
-            worst_vat = max(worst_vat, props._grad_rel_err(vres.param_grads, fd_w, fd_b))
+            worst_vat = max(worst_vat, props._grad_rel_err(vres.param_grads, fd))
     errs["rpt"] = worst_rpt
     errs["vat"] = worst_vat
 
@@ -185,8 +185,8 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         feats = g.standard_normal((4, model.n_features))
         start, end = int(g.integers(4)), int(g.integers(4))
         _, grads = sp.span_loss(model, feats, start, end)
-        fd = props._fd_span_grads(lambda mm: sp.span_loss(mm, feats, start, end)[0], model)
-        worst_sl = max(worst_sl, props._span_grad_rel_err(grads, fd))
+        fd = props._fd_param_grads(lambda mm: sp.span_loss(mm, feats, start, end)[0], model)
+        worst_sl = max(worst_sl, props._grad_rel_err(grads, fd))
 
         src = rng.split(3, i, 2)
         p_b, p_e = sp.span_distributions(model, feats)
@@ -205,8 +205,8 @@ def test_criterion_04_gradient_paths_match_finite_differences():
                 re = np.maximum(trn.end_probs, PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
                 return float(np.sum(p_b * gen.g(rb)) + np.sum(p_e * gen.g(re)))
 
-            fd = props._fd_span_grads(frozen_span, model)
-            worst_sp = max(worst_sp, props._span_grad_rel_err(res.grads, fd))
+            fd = props._fd_param_grads(frozen_span, model)
+            worst_sp = max(worst_sp, props._grad_rel_err(res.grads, fd))
     errs["span_loss"] = worst_sl
     errs["span_penalty"] = worst_sp
 

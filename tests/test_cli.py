@@ -147,6 +147,23 @@ def test_train_missing_data_file_is_runtime_error(tmp_path, capsys):
     assert "pdrlab: error" in capsys.readouterr().err
 
 
+# 30 rows fit in one batch, so the overflow first shows in the epoch-end evaluation
+@pytest.mark.parametrize("n, learning_rate", [(200, "1e306"), (200, "1e308"), (30, "1e308")])
+def test_diverged_training_exits_3_and_writes_no_metrics(tmp_path, capsys, n, learning_rate):
+    data = tmp_path / "d.csv"
+    run_main(["gen-data", "two-moons", "--n", str(n), "--noise", "0.25", "--out", str(data)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data = {data}\nseed = 1\nepochs = 5\nbatch_size = 32\nmodel.hidden = 64\n"
+                   f"optimizer.kind = sgd\noptimizer.learning_rate = {learning_rate}\n")
+    metrics = tmp_path / "metrics.json"
+    capsys.readouterr()
+    code = run_main(["train", "--config", str(cfg), "--quiet", "--metrics-out", str(metrics)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "diverged at epoch" in err and "batch" in err
+    assert not metrics.exists()
+
+
 def test_train_bad_config_key_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("data = x.csv\nmomentum = 0.9\n")

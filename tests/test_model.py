@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
+from pdrlab.properties import _fd_param_grads as fd_param_grads
+from pdrlab.properties import _grad_rel_err
 from pdrlab.tensor import RandomSource, softmax
 
 
@@ -11,32 +13,9 @@ def small_model(seed=1, dims=(2, 4, 3)):
     return mlp.init_mlp(dims, RandomSource(seed))
 
 
-def fd_param_grads(value_fn, model, h=1e-5):
-    """Centered finite differences of value_fn over every parameter entry."""
-    wg = [np.zeros_like(w) for w in model.weights]
-    bg = [np.zeros_like(b) for b in model.biases]
-
-    def shifted(l, idx, delta, bias):
-        ws = [w.copy() for w in model.weights]
-        bs = [b.copy() for b in model.biases]
-        (bs if bias else ws)[l][idx] += delta
-        return mlp.MlpModel(model.layer_dims, tuple(ws), tuple(bs))
-
-    for l, w in enumerate(model.weights):
-        for idx in np.ndindex(w.shape):
-            wg[l][idx] = (value_fn(shifted(l, idx, h, False)) - value_fn(shifted(l, idx, -h, False))) / (2 * h)
-    for l, b in enumerate(model.biases):
-        for idx in np.ndindex(b.shape):
-            bg[l][idx] = (value_fn(shifted(l, idx, h, True)) - value_fn(shifted(l, idx, -h, True))) / (2 * h)
-    return wg, bg
-
-
-def assert_grads_close(bundle, fd_w, fd_b, tol=1e-4):
-    scale = max(1e-8, max(np.max(np.abs(g)) for g in list(fd_w) + list(fd_b)))
-    for got, want in zip(bundle.weight_grads, fd_w):
-        assert np.max(np.abs(got - want)) / scale < tol
-    for got, want in zip(bundle.bias_grads, fd_b):
-        assert np.max(np.abs(got - want)) / scale < tol
+def assert_grads_close(grads, fd, tol=1e-4):
+    assert grads.shape == fd.shape
+    assert _grad_rel_err(grads, fd) < tol
 
 
 # ---------------------------------------------------------------- construction
@@ -57,19 +36,31 @@ def test_init_weight_scale():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        mlp.MlpModel((2,), (), ())
+        mlp.MlpModel((2,), np.zeros(0))
     with pytest.raises(ValueError):
-        mlp.MlpModel((2, 0), (np.zeros((0, 2)),), (np.zeros(0),))
+        mlp.MlpModel((2, 0), np.zeros(0))
     with pytest.raises(ValueError):
-        mlp.MlpModel((2, 3), (np.zeros((2, 3)),), (np.zeros(3),))  # transposed shape
+        mlp.MlpModel((2, 3), np.zeros(8))  # wrong length
     with pytest.raises(ValueError):
-        mlp.MlpModel((2, 3), (np.full((3, 2), np.nan),), (np.zeros(3),))
+        mlp.pack_params((2, 3), (np.zeros((2, 3)),), (np.zeros(3),))  # transposed shape
+    with pytest.raises(ValueError):
+        mlp.MlpModel((2, 3), np.full(9, np.nan))
 
 
 def test_parameters_are_read_only():
     m = small_model()
     with pytest.raises(ValueError):
         m.weights[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.params[0] = 1.0
+
+
+def test_params_are_one_flat_vector_of_layer_views():
+    m = small_model(2, dims=(2, 4, 3))
+    want = np.concatenate([m.weights[0].ravel(), m.biases[0], m.weights[1].ravel(), m.biases[1]])
+    assert np.array_equal(m.params, want)
+    assert all(np.shares_memory(a, m.params) for a in (*m.weights, *m.biases))
+    assert np.array_equal(mlp.pack_params(m.layer_dims, m.weights, m.biases), m.params)
 
 
 # ---------------------------------------------------------------- forward pass
@@ -135,9 +126,10 @@ def test_linear_model_no_hidden_layers():
 def test_ce_loss_value():
     m = small_model(13)
     x = np.array([0.4, 0.9])
-    loss, grads = mlp.backward_ce(m, mlp.forward(m, x), 1)
+    loss, grads, input_grad = mlp.backward_ce(m, mlp.forward(m, x), 1)
     assert loss == pytest.approx(-math.log(mlp.posterior(m, x)[1]), abs=1e-12)
-    assert grads.input_grad.shape == (2,)
+    assert grads.shape == m.params.shape
+    assert input_grad.shape == (2,)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 4, 3), (3, 5, 4, 2)])
@@ -150,21 +142,20 @@ def test_ce_grads_match_fd(dims):
         tr = mlp.forward(mm, x)
         return -math.log(tr.posterior[label])
 
-    _, grads = mlp.backward_ce(m, mlp.forward(m, x), label)
-    fd_w, fd_b = fd_param_grads(value, m)
-    assert_grads_close(grads, fd_w, fd_b)
+    _, grads, _ = mlp.backward_ce(m, mlp.forward(m, x), label)
+    assert_grads_close(grads, fd_param_grads(value, m))
 
 
 def test_ce_input_grad_matches_fd():
     m = small_model(19)
     x = np.array([0.2, -0.7])
-    _, grads = mlp.backward_ce(m, mlp.forward(m, x), 0)
+    _, _, input_grad = mlp.backward_ce(m, mlp.forward(m, x), 0)
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
         want = (-math.log(mlp.posterior(m, x + e)[0]) + math.log(mlp.posterior(m, x - e)[0])) / (2 * h)
-        assert grads.input_grad[j] == pytest.approx(want, rel=1e-5, abs=1e-8)
+        assert input_grad[j] == pytest.approx(want, rel=1e-5, abs=1e-8)
 
 
 def test_ce_label_out_of_range():
@@ -181,9 +172,8 @@ def test_scalar_of_posterior_grads_match_fd():
     def value(mm):
         return float(seed @ mlp.posterior(mm, x))
 
-    grads = mlp.backward_scalar_of_posterior(m, mlp.forward(m, x), seed)
-    fd_w, fd_b = fd_param_grads(value, m)
-    assert_grads_close(grads, fd_w, fd_b)
+    grads, _ = mlp.backward_scalar_of_posterior(m, mlp.forward(m, x), seed)
+    assert_grads_close(grads, fd_param_grads(value, m))
 
 
 def test_ce_batch_weights_zero_out_rows():
@@ -193,8 +183,7 @@ def test_ce_batch_weights_zero_out_rows():
     _, g_first, _ = mlp.backward_ce_batch(m, tr, [0, 1], weights=np.array([1.0, 0.0]))
     tr1 = mlp.forward_batch(m, X[:1])
     _, g_only, _ = mlp.backward_ce_batch(m, tr1, [0])
-    for a, b in zip(g_first.weight_grads, g_only.weight_grads):
-        assert np.allclose(a, b, atol=1e-14)
+    assert np.allclose(g_first, g_only, atol=1e-14)
 
 
 # ---------------------------------------------------------------- jacobians
@@ -248,8 +237,7 @@ def test_jacobian_sq_norm_value_and_grads():
         j = mlp.input_jacobian(mm, x)
         return float(np.sum(j * j))
 
-    fd_w, fd_b = fd_param_grads(value, m)
-    assert_grads_close(grads, fd_w, fd_b)
+    assert_grads_close(grads, fd_param_grads(value, m))
 
 
 def test_jacobian_sq_norm_deeper_model_grads():
@@ -262,19 +250,14 @@ def test_jacobian_sq_norm_deeper_model_grads():
         j = mlp.input_jacobian(mm, x)
         return float(np.sum(j * j))
 
-    fd_w, fd_b = fd_param_grads(value, m)
-    assert_grads_close(grads, fd_w, fd_b)
+    assert_grads_close(grads, fd_param_grads(value, m))
 
 
 # ---------------------------------------------------------------- updates and io
 
 def test_apply_update():
     m = small_model(59)
-    g = mlp.GradientBundle(
-        tuple(np.ones_like(w) for w in m.weights),
-        tuple(np.ones_like(b) for b in m.biases),
-    )
-    m2 = mlp.apply_update(m, g, 0.5)
+    m2 = mlp.apply_update(m, np.ones(m.params.size), 0.5)
     for w2, w in zip(m2.weights, m.weights):
         assert np.allclose(w2, w - 0.5, atol=1e-15)
 

@@ -5,19 +5,19 @@ import pytest
 
 from pdrlab.divergences import GENERATORS, PROB_FLOOR, generator
 from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
+from pdrlab.properties import _fd_param_grads as fd_span_grads
+from pdrlab.properties import _grad_rel_err
 from pdrlab.spans import (
-    SpanExample,
     SpanModel,
     apply_span_update,
     init_span_model,
     joint_span_table,
-    read_span_jsonl,
+    make_span_model,
     span_distributions,
     span_forward,
     span_loss,
     span_penalty,
     span_quadratic_penalty,
-    write_span_jsonl,
 )
 from pdrlab.tensor import RandomSource
 
@@ -41,48 +41,9 @@ def frozen_pair_divergence(model, features, eps, pb0, pe0, kind):
     return total
 
 
-def fd_span_grads(value_fn, model, h=1e-5):
-    """Centered differences over every span-model parameter."""
-
-    def shifted(kind, l, idx, delta):
-        ws = [w.copy() for w in model.enc_weights]
-        bs = [b.copy() for b in model.enc_biases]
-        wb, we = model.w_begin.copy(), model.w_end.copy()
-        if kind == "w":
-            ws[l][idx] += delta
-        elif kind == "b":
-            bs[l][idx] += delta
-        elif kind == "begin":
-            wb[idx] += delta
-        else:
-            we[idx] += delta
-        return SpanModel(model.enc_dims, tuple(ws), tuple(bs), wb, we)
-
-    wg = [np.zeros_like(w) for w in model.enc_weights]
-    bg = [np.zeros_like(b) for b in model.enc_biases]
-    for l, w in enumerate(model.enc_weights):
-        for idx in np.ndindex(w.shape):
-            wg[l][idx] = (value_fn(shifted("w", l, idx, h)) - value_fn(shifted("w", l, idx, -h))) / (2 * h)
-    for l, b in enumerate(model.enc_biases):
-        for idx in np.ndindex(b.shape):
-            bg[l][idx] = (value_fn(shifted("b", l, idx, h)) - value_fn(shifted("b", l, idx, -h))) / (2 * h)
-    beg = np.array([(value_fn(shifted("begin", 0, i, h)) - value_fn(shifted("begin", 0, i, -h))) / (2 * h)
-                    for i in range(model.w_begin.size)])
-    end = np.array([(value_fn(shifted("end", 0, i, h)) - value_fn(shifted("end", 0, i, -h))) / (2 * h)
-                    for i in range(model.w_end.size)])
-    return wg, bg, beg, end
-
-
 def assert_span_grads_close(grads, fd, tol=1e-4):
-    fd_w, fd_b, fd_beg, fd_end = fd
-    flat = [np.max(np.abs(g)) for g in fd_w + fd_b] + [np.max(np.abs(fd_beg)), np.max(np.abs(fd_end))]
-    scale = max(1e-8, max(flat))
-    for got, want in zip(grads.enc_weight_grads, fd_w):
-        assert np.max(np.abs(got - want)) / scale < tol
-    for got, want in zip(grads.enc_bias_grads, fd_b):
-        assert np.max(np.abs(got - want)) / scale < tol
-    assert np.max(np.abs(grads.w_begin_grad - fd_beg)) / scale < tol
-    assert np.max(np.abs(grads.w_end_grad - fd_end)) / scale < tol
+    assert grads.shape == fd.shape
+    assert _grad_rel_err(grads, fd) < tol
 
 
 # ---------------------------------------------------------------- forward shape
@@ -91,8 +52,18 @@ def test_init_is_deterministic():
     a = small_span_model(4)
     b = small_span_model(4)
     assert np.array_equal(a.w_begin, b.w_begin)
-    for wa, wb in zip(a.enc_weights, b.enc_weights):
-        assert np.array_equal(wa, wb)
+    assert np.array_equal(a.params, b.params)
+
+
+def test_params_are_encoder_then_scorers():
+    m = small_span_model(3, dims=(3, 5, 4))
+    n_enc = m.encoder.params.size
+    assert np.array_equal(m.params[:n_enc], m.encoder.params)
+    assert np.array_equal(m.params[n_enc:], np.concatenate([m.w_begin, m.w_end]))
+    with pytest.raises(ValueError):
+        m.w_end[0] = 1.0
+    with pytest.raises(ValueError):
+        SpanModel(m.enc_dims, m.params[:-1])
 
 
 def test_distributions_are_simplexes():
@@ -138,8 +109,7 @@ def test_feature_validation():
 
 def test_zero_scorers_give_uniform_loss():
     m = small_span_model(9)
-    m = SpanModel(m.enc_dims, m.enc_weights, m.enc_biases,
-                  np.zeros_like(m.w_begin), np.zeros_like(m.w_end))
+    m = make_span_model(m.encoder, np.zeros_like(m.w_begin), np.zeros_like(m.w_end))
     t = 6
     loss, _ = span_loss(m, random_features(10, t=t), 2, 4)
     assert loss == pytest.approx(2.0 * math.log(t), abs=1e-12)
@@ -258,35 +228,4 @@ def test_apply_span_update_moves_parameters():
     _, grads = span_loss(m, random_features(40, t=4), 0, 1)
     m2 = apply_span_update(m, grads, 0.1)
     assert not np.array_equal(m2.w_begin, m.w_begin)
-    assert np.allclose(m2.w_begin, m.w_begin - 0.1 * grads.w_begin_grad, atol=1e-15)
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_jsonl_round_trip(tmp_path):
-    examples = [
-        SpanExample(random_features(41, t=3), 0, 2),
-        SpanExample(random_features(42, t=5), None, None),
-    ]
-    path = tmp_path / "spans.jsonl"
-    write_span_jsonl(examples, path)
-    back = read_span_jsonl(path)
-    assert len(back) == 2
-    assert np.array_equal(back[0].features, examples[0].features)
-    assert (back[0].start, back[0].end) == (0, 2)
-    assert back[1].start is None and back[1].end is None
-
-
-def test_jsonl_errors_carry_line_numbers(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"features": [[0.0, 1.0]], "start": 0, "end": 0}\nnot json\n')
-    with pytest.raises(ValueError, match=":2:"):
-        read_span_jsonl(path)
-
-    path.write_text('{"features": [[0.0]], "start": 5, "end": 0}\n')
-    with pytest.raises(ValueError, match="out of range"):
-        read_span_jsonl(path)
-
-    path.write_text('{"features": [0.0, 1.0], "start": 0, "end": 0}\n')
-    with pytest.raises(ValueError, match=":1:"):
-        read_span_jsonl(path)
+    assert np.allclose(m2.params, m.params - 0.1 * grads, atol=1e-15)

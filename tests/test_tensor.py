@@ -9,7 +9,6 @@ from pdrlab.tensor import (
     RandomRows,
     RandomSource,
     as_mat,
-    as_vec,
     check_simplex,
     frobenius_norm,
     gaussian_rows,
@@ -192,10 +191,8 @@ def test_check_simplex_accepts_and_rejects():
         check_simplex(np.array([np.inf, 0.0]))
 
 
-def test_as_vec_as_mat_shapes():
-    assert as_vec([1, 2]).dtype == np.float64
-    with pytest.raises(ValueError):
-        as_vec([[1.0, 2.0]])
+def test_as_mat_shapes():
+    assert as_mat([[1, 2]]).dtype == np.float64
     with pytest.raises(ValueError):
         as_mat([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from pdrlab.data import Dataset, make_two_moons, withhold_labels
 from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
 from pdrlab.tensor import RandomSource
 from pdrlab.trainer import (
-    AdamState,
     TrainConfig,
     adam_init,
     adam_step,
@@ -55,31 +54,30 @@ def test_init_model_for_sizes_from_dataset():
 def test_adam_first_step_is_signlike():
     m = mlp.init_mlp((2, 2), RandomSource(1))
     state = adam_init(m)
-    g = mlp.GradientBundle(
-        (np.array([[0.5, -2.0], [0.0, 1e-3]]),),
-        (np.array([3.0, -4.0]),),
-    )
+    gw, gb = np.array([[0.5, -2.0], [0.0, 1e-3]]), np.array([3.0, -4.0])
+    g = mlp.pack_params(m.layer_dims, (gw,), (gb,))
     state2, upd = adam_step(state, g, learning_rate=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
-    assert state2.t == 1
+    assert state2[0] == 1
+    upd_w, upd_b = mlp.unflatten(m.layer_dims, upd)
     # after bias correction the first update is lr * g / (|g| + eps)
-    want = 0.1 * g.weight_grads[0] / (np.abs(g.weight_grads[0]) + 1e-8)
+    want = 0.1 * gw / (np.abs(gw) + 1e-8)
     want[0, 0] = 0.1 * 0.5 / (0.5 + 1e-8)
-    assert np.allclose(upd.weight_grads[0], want, atol=1e-12)
-    assert np.allclose(upd.bias_grads[0], 0.1 * np.sign(g.bias_grads[0]), atol=1e-6)
+    assert np.allclose(upd_w[0], want, atol=1e-12)
+    assert np.allclose(upd_b[0], 0.1 * np.sign(gb), atol=1e-6)
 
 
 def test_adam_second_step_matches_hand_formula():
     m = mlp.init_mlp((2, 2), RandomSource(2))
     state = adam_init(m)
-    g1 = mlp.GradientBundle((np.full((2, 2), 1.0),), (np.zeros(2),))
-    g2 = mlp.GradientBundle((np.full((2, 2), -0.5),), (np.zeros(2),))
+    g1 = mlp.pack_params(m.layer_dims, (np.full((2, 2), 1.0),), (np.zeros(2),))
+    g2 = mlp.pack_params(m.layer_dims, (np.full((2, 2), -0.5),), (np.zeros(2),))
     state, _ = adam_step(state, g1, 0.1)
     _, upd = adam_step(state, g2, 0.1)
     b1, b2 = 0.9, 0.999
     mhat = (b1 * (1 - b1) * 1.0 + (1 - b1) * (-0.5)) / (1 - b1**2)
     vhat = (b2 * (1 - b2) * 1.0 + (1 - b2) * 0.25) / (1 - b2**2)
     want = 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert np.allclose(upd.weight_grads[0], want, atol=1e-12)
+    assert np.allclose(mlp.unflatten(m.layer_dims, upd)[0][0], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------- evaluate
