@@ -44,8 +44,7 @@ labels = ("STD, all 200 labels", "STD, 100 labels", "VAT_KL, 100 labels + 100 un
 for name, acc in zip(labels, np.mean(rows, axis=0)):
     print(f"{name:36s} test accuracy {100 * acc:6.2f}%")
 
-n_lab = sum(1 for y in withhold_labels(make_two_moons(200, 0.25, seed=1), 0.5, seed=1).labels
-            if y is not None)
+n_lab = withhold_labels(make_two_moons(200, 0.25, seed=1), 0.5, seed=1).labeled_indices().size
 print()
 print(f"(the withheld split keeps {n_lab} labeled rows; the stability term is")
 print(" what lets the third run recover the full-label accuracy)")

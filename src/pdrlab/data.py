@@ -1,7 +1,8 @@
 """Synthetic classification datasets and the CSV interchange format.
 
-All generators are deterministic functions of their seed. Labels are small
-ints; None marks an unlabeled example in memory and -1 marks it on disk.
+All generators are deterministic functions of their seed. Labels are one
+int64 array of small class ids; UNLABELED (-1) marks an unlabeled example,
+in memory and on disk alike.
 """
 
 from __future__ import annotations
@@ -13,19 +14,28 @@ import numpy as np
 
 from .tensor import RandomSource
 
-UNLABELED = -1  # on-disk sentinel only
+UNLABELED = -1  # marks an unlabeled example, in memory and on disk
 
 
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n, d)
-    labels: tuple  # int per example, None where unlabeled
+    labels: np.ndarray  # (n,) read-only int64, a class id or UNLABELED per example
     n_classes: int
     provenance: dict
 
     def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] != len(self.labels):
+        labels = np.array(self.labels)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
+        if self.features.ndim != 2 or labels.shape != (self.features.shape[0],):
             raise ValueError("features and labels disagree on example count")
+        if labels.size and (labels.min() < UNLABELED or labels.max() >= self.n_classes):
+            raise ValueError(f"labels must lie in [{UNLABELED}, {self.n_classes}), "
+                             f"got {labels.min()}..{labels.max()}")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
         self.features.setflags(write=False)
 
     @property
@@ -37,7 +47,7 @@ class Dataset:
         return self.features.shape[1]
 
     def labeled_indices(self) -> np.ndarray:
-        return np.array([i for i, y in enumerate(self.labels) if y is not None], dtype=np.int64)
+        return np.flatnonzero(self.labels != UNLABELED)
 
 
 def _moon_arcs(n: int):
@@ -68,7 +78,7 @@ def make_two_moons(n: int, noise_std: float, seed: int) -> Dataset:
     if noise_std > 0:
         rng = RandomSource(seed).split(1)
         features = features + noise_std * rng.generator().standard_normal(features.shape)
-    return Dataset(features, tuple(int(y) for y in labels), 2,
+    return Dataset(features, labels, 2,
                    {"generator": "two-moons", "n": n, "noise_std": noise_std, "seed": seed})
 
 
@@ -101,7 +111,7 @@ def make_gaussian_mixture(n: int, k: int, dim: int, separation: float, seed: int
     labels = np.repeat(np.arange(k), counts)
     noise = RandomSource(seed).split(1).generator().standard_normal((n, dim))
     features = means[labels] + noise
-    return Dataset(features, tuple(int(y) for y in labels), k,
+    return Dataset(features, labels, k,
                    {"generator": "gaussian-mixture", "n": n, "k": k, "dim": dim,
                     "separation": separation, "seed": seed})
 
@@ -153,7 +163,7 @@ def make_spurious_pair(n: int, core_noise: float, seed: int):
             feats = feats + core_noise * stream.generator().standard_normal(feats.shape)
         spur = sign * (2.0 * labels - 1.0)  # +/-1, aligned with label on train
         features = np.column_stack([feats, spur])
-        out.append(Dataset(features, tuple(int(y) for y in labels), 2,
+        out.append(Dataset(features, labels, 2,
                            {"generator": "bias-pair", "split": split_id, "n": n,
                             "core_noise": core_noise, "seed": seed}))
     return out[0], out[1]
@@ -182,29 +192,23 @@ def withhold_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if any(y is None for y in ds.labels):
+    if np.any(ds.labels == UNLABELED):
         raise ValueError("withhold_labels expects a fully labeled dataset")
     n = ds.n_examples
     total_keep = int(round(fraction * n))
-    by_class = {}
-    for i, y in enumerate(ds.labels):
-        by_class.setdefault(y, []).append(i)
-    classes = sorted(by_class)
-    floors = {c: int(np.floor(fraction * len(by_class[c]))) for c in classes}
-    remainders = sorted(
-        classes, key=lambda c: (-(fraction * len(by_class[c]) - floors[c]), c)
-    )
-    short = total_keep - sum(floors.values())
-    keep_counts = dict(floors)
-    for c in remainders[:short]:
-        keep_counts[c] += 1
+    classes, counts = np.unique(ds.labels, return_counts=True)
+    shares = fraction * counts
+    keep = np.floor(shares).astype(np.int64)
+    # the leftover labels go to the largest remainders, ties to the lower class
+    by_remainder = np.lexsort((classes, keep - shares))
+    keep[by_remainder[: total_keep - int(keep.sum())]] += 1
     rng = RandomSource(seed)
-    kept = set()
-    for c in classes:
-        idx = np.asarray(by_class[c])
-        order = rng.split(c).generator().permutation(len(idx))
-        kept.update(idx[order[: keep_counts[c]]].tolist())
-    labels = tuple(y if i in kept else None for i, y in enumerate(ds.labels))
+    kept = np.zeros(n, dtype=bool)
+    # split mixes its keys in Python-int arithmetic, where an np.int64 key overflows
+    for c, k in zip(classes.tolist(), keep.tolist()):
+        idx = np.flatnonzero(ds.labels == c)
+        kept[idx[rng.split(c).generator().permutation(idx.size)[:k]]] = True
+    labels = np.where(kept, ds.labels, UNLABELED)
     prov = dict(ds.provenance)
     prov["withheld"] = {"fraction": fraction, "seed": seed, "kept": total_keep}
     return Dataset(ds.features, labels, ds.n_classes, prov)
@@ -215,8 +219,8 @@ def write_csv(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{j}" for j in range(ds.n_features)] + ["label"])
-        for row, y in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [UNLABELED if y is None else int(y)])
+        for row, y in zip(ds.features, ds.labels.tolist()):
+            writer.writerow([repr(float(v)) for v in row] + [y])
 
 
 def read_csv(path) -> Dataset:
@@ -241,11 +245,10 @@ def read_csv(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: non-numeric field") from None
             if y < UNLABELED:
                 raise ValueError(f"{path}:{lineno}: bad label {y}")
-            labels.append(None if y == UNLABELED else y)
+            labels.append(y)
     if not feats:
         raise ValueError(f"{path}: no data rows")
     features = np.asarray(feats, dtype=np.float64)
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{path}: non-finite feature values")
-    n_classes = max((y for y in labels if y is not None), default=1) + 1
-    return Dataset(features, tuple(labels), max(n_classes, 2), {"source": str(path)})
+    return Dataset(features, labels, max(max(labels) + 1, 2), {"source": str(path)})

@@ -7,8 +7,9 @@ the input Jacobian of the posterior, and the parameter gradient of the
 squared Jacobian norm via a forward tangent pass followed by a reverse pass
 over the combined graph.
 
-Per-example functions take 1-D inputs; the *_batch variants take one example
-per row and are what the trainer and penalty code call.
+Per-example functions take 1-D inputs, and their trace is the one-row
+BatchTrace of that input; the *_batch variants take one example per row and
+are what the trainer and penalty code call.
 """
 
 from __future__ import annotations
@@ -103,19 +104,11 @@ def pack_params(layer_dims, weights, biases) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ForwardTrace:
-    """Everything the backward passes need, for one example."""
-
-    x: np.ndarray
-    hiddens: tuple[np.ndarray, ...]  # post-tanh activations, one per hidden layer
-    logits: np.ndarray
-    posterior: np.ndarray
-
-
-@dataclass(frozen=True)
 class BatchTrace:
+    """Everything the backward passes need, one example per row."""
+
     inputs: np.ndarray  # (B, n)
-    hiddens: tuple[np.ndarray, ...]  # (B, h_l) each
+    hiddens: tuple[np.ndarray, ...]  # post-tanh activations, (B, h_l) each
     logits: np.ndarray  # (B, m)
     posteriors: np.ndarray  # (B, m)
 
@@ -157,26 +150,21 @@ def forward_batch(model: MlpModel, X) -> BatchTrace:
     return BatchTrace(X, hiddens, logits, softmax(logits))
 
 
-def forward(model: MlpModel, x) -> ForwardTrace:
-    """Run one example through the network, keeping all intermediates."""
+def forward(model: MlpModel, x) -> BatchTrace:
+    """Run one example through the network: the one-row trace of x."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"forward expects a 1-D input, got shape {x.shape}")
-    tr = forward_batch(model, x[None, :])
-    return ForwardTrace(x, tuple(h[0] for h in tr.hiddens), tr.logits[0], tr.posteriors[0])
+    return forward_batch(model, x[None, :])
 
 
 def posterior(model: MlpModel, x) -> np.ndarray:
-    return forward(model, x).posterior
+    return forward(model, x).posteriors[0]
 
 
-def _batch_trace(model: MlpModel, trace: ForwardTrace) -> BatchTrace:
-    return BatchTrace(
-        trace.x[None, :],
-        tuple(h[None, :] for h in trace.hiddens),
-        trace.logits[None, :],
-        trace.posterior[None, :],
-    )
+def _check_one_row(trace: BatchTrace) -> None:
+    if trace.inputs.shape[0] != 1:
+        raise ValueError(f"expected the one-row trace of forward, got {trace.inputs.shape[0]} rows")
 
 
 def _backward_from_logits(model, tr, g_logits, want_param_grads=True):
@@ -223,11 +211,12 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     return losses, grads, xg
 
 
-def backward_ce(model, trace: ForwardTrace, label: int):
+def backward_ce(model, trace: BatchTrace, label: int):
     """(loss -log p[label], flat parameter grads, input grad) for one example."""
+    _check_one_row(trace)
     if not 0 <= int(label) < model.n_classes:
         raise ValueError(f"label {label} out of range for {model.n_classes} classes")
-    losses, grads, xg = backward_ce_batch(model, _batch_trace(model, trace), [int(label)])
+    losses, grads, xg = backward_ce_batch(model, trace, [int(label)])
     return float(losses[0]), grads, xg[0]
 
 
@@ -239,12 +228,13 @@ def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed, weights=None
     return _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, seed))
 
 
-def backward_scalar_of_posterior(model, trace: ForwardTrace, dvalue_dposterior):
+def backward_scalar_of_posterior(model, trace: BatchTrace, dvalue_dposterior):
     """(flat parameter grads, input grad) of a scalar s given ds/dposterior."""
+    _check_one_row(trace)
     seed = np.asarray(dvalue_dposterior, dtype=np.float64)
     if seed.shape != (model.n_classes,):
         raise ValueError(f"seed must have shape ({model.n_classes},), got {seed.shape}")
-    grads, xg = backward_scalar_of_posterior_batch(model, _batch_trace(model, trace), seed[None, :])
+    grads, xg = backward_scalar_of_posterior_batch(model, trace, seed[None, :])
     return grads, xg[0]
 
 
@@ -261,8 +251,7 @@ def input_jacobian_batch(model, tr: BatchTrace) -> np.ndarray:
 
 def input_jacobian(model, x) -> np.ndarray:
     """(m, n) Jacobian d posterior / d input at one point."""
-    tr = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    return input_jacobian_batch(model, tr)[0]
+    return input_jacobian_batch(model, forward(model, x))[0]
 
 
 def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):

@@ -107,6 +107,21 @@ def _model_instance(rng: RandomSource, i: int):
     return model, x
 
 
+def _decade_law(divergence_at, q: float):
+    """(drift slack, law slack, cubic-remainder ratio at t = 1e-3) of D(t) = t^2 q + O(t^3).
+
+    The remainder ratio must not grow as t shrinks (one-sided: the cubic term
+    may vanish), and D(1e-4) / t^2 must match q to 1e-3 relative.
+    """
+    ratios = []
+    for t in (1e-2, 1e-3, 1e-4):
+        d = divergence_at(t)
+        ratios.append(abs(d - t * t * q) / t ** 3)
+    floor = 1e-3 * max(1.0, q)
+    drift = 5.0 * max(ratios[0], ratios[1]) + floor - ratios[2]
+    return drift, 1e-3 * max(q, 1e-9) - abs(d / t / t - q), ratios[1]
+
+
 def _fd_param_grads(value_fn, model, h: float = 1e-5) -> np.ndarray:
     """Centered finite differences of value_fn over every entry of
     model.params, for any model with `params` and `with_params`.
@@ -387,19 +402,11 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             # salted per process and would break cross-run determinism
             model, x, eps, q = _second_order_instance(rng.split(26, ki), i)
             p = mlp.posterior(model, x)
-            ratios = []
-            for t in (1e-2, 1e-3, 1e-4):
-                d = f_divergence(gen, mlp.posterior(model, x + t * eps), p)
-                ratios.append(abs(d - t * t * q[kind]) / t ** 3)
-            # boundedness is one-sided: the remainder ratio must not grow as
-            # t shrinks (shrinking is fine, the cubic term may vanish)
-            floor = 1e-3 * max(1.0, q[kind])
-            drift_slack = min(drift_slack, 5.0 * max(ratios[0], ratios[1]) + floor - ratios[2])
-            t = 1e-4
-            d = f_divergence(gen, mlp.posterior(model, x + t * eps), p)
-            dev = abs(d / t / t - q[kind])
-            law_slack = min(law_slack, 1e-3 * max(q[kind], 1e-9) - dev)
-            ratios_all.append(ratios[1])
+            drift, law, ratio = _decade_law(
+                lambda t: f_divergence(gen, mlp.posterior(model, x + t * eps), p), q[kind])
+            drift_slack = min(drift_slack, drift)
+            law_slack = min(law_slack, law)
+            ratios_all.append(ratio)
         ratio_details.append(f"{kind}:{np.mean(ratios_all):.2f}")
     out.append(PropertyResult("second_order_law_decades",
                               law_slack >= 0 and drift_slack >= 0,
@@ -638,20 +645,16 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             if q < 1e-3:
                 continue
             tr = sp.span_forward(model, feats)
-            ratios = []
-            for tt in (1e-2, 1e-3, 1e-4):
+
+            def divergence_at(tt):
                 trn = sp.span_forward(model, feats + tt * eps)
-                d = (f_divergence(gen, trn.begin_probs, tr.begin_probs)
-                     + f_divergence(gen, trn.end_probs, tr.end_probs))
-                ratios.append(abs(d - tt * tt * q) / tt ** 3)
-            floor = 1e-3 * max(1.0, q)
-            drift_slack = min(drift_slack, 5.0 * max(ratios[0], ratios[1]) + floor - ratios[2])
-            tt = 1e-4
-            trn = sp.span_forward(model, feats + tt * eps)
-            d = (f_divergence(gen, trn.begin_probs, tr.begin_probs)
-                 + f_divergence(gen, trn.end_probs, tr.end_probs))
-            law_slack = min(law_slack, 1e-3 * max(q, 1e-9) - abs(d / tt / tt - q))
-            ratios_mean.append(ratios[1])
+                return (f_divergence(gen, trn.begin_probs, tr.begin_probs)
+                        + f_divergence(gen, trn.end_probs, tr.end_probs))
+
+            drift, law, ratio = _decade_law(divergence_at, q)
+            drift_slack = min(drift_slack, drift)
+            law_slack = min(law_slack, law)
+            ratios_mean.append(ratio)
         details.append(f"{kind}:{np.mean(ratios_mean):.2f}")
     out.append(PropertyResult("span_second_order_law_decades",
                               law_slack >= 0 and drift_slack >= 0,

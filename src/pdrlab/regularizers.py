@@ -83,8 +83,7 @@ def _clean_branch_seed(gen: Generator, ratio):
 
 def jr_penalty(model: mlp.MlpModel, x) -> PenaltyResult:
     """||d posterior / d input||_F^2 with its exact parameter gradient."""
-    tr = mlp.forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    values, grads = mlp.jacobian_sq_norm_grads_batch(model, tr)
+    values, grads = mlp.jacobian_sq_norm_grads_batch(model, mlp.forward(model, x))
     return PenaltyResult(float(values[0]), grads)
 
 
@@ -160,15 +159,13 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence under a Gaussian draw for one example."""
-    tr = mlp.forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    values, grads = rpt_penalty_batch(model, tr, spec, RandomRows.of([rng]))
+    values, grads = rpt_penalty_batch(model, mlp.forward(model, x), spec, RandomRows.of([rng]))
     return PenaltyResult(float(values[0]), grads)
 
 
 def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence at the adversarial perturbation for one example."""
-    tr = mlp.forward_batch(model, np.asarray(x, dtype=np.float64)[None, :])
-    values, grads, delta = vat_penalty_batch(model, tr, spec, RandomRows.of([rng]))
+    values, grads, delta = vat_penalty_batch(model, mlp.forward(model, x), spec, RandomRows.of([rng]))
     return PenaltyResult(float(values[0]), grads, delta[0])
 
 
@@ -194,11 +191,10 @@ def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     f is floored before inverting. This is the second-order Taylor value of
     the divergence penalty at perturbation eps.
     """
-    x = np.asarray(x, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    jac = mlp.input_jacobian(model, x)
-    f = np.maximum(mlp.posterior(model, x), PROB_FLOOR)
-    jeps = jac @ eps
+    tr = mlp.forward(model, x)
+    jac = mlp.input_jacobian_batch(model, tr)[0]
+    f = np.maximum(tr.posteriors[0], PROB_FLOOR)
+    jeps = jac @ np.asarray(eps, dtype=np.float64)
     return float(0.5 * gen.curvature_at_one * np.sum(jeps * jeps / f))
 
 
@@ -216,8 +212,9 @@ class BoundCheck:
 def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource) -> BoundCheck:
     """Check the distance and Jacobian-norm chains at ||eps||_2 = radius draws."""
     x = np.asarray(x, dtype=np.float64)
-    p = mlp.posterior(model, x)
-    jac = mlp.input_jacobian(model, x)
+    tr = mlp.forward(model, x)
+    p = tr.posteriors[0]
+    jac = mlp.input_jacobian_batch(model, tr)[0]
     sp = spectral_norm(jac, iters=500, tol=1e-14)
     fro = frobenius_norm(jac)
     gaps = np.empty((trials, 4))

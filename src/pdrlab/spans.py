@@ -45,7 +45,9 @@ class SpanModel:
         params.setflags(write=False)
         self.enc_dims = dims
         self.params = params
-        self.encoder = mlp.MlpModel(dims, params[:n_enc])
+        self.encoder = mlp.MlpModel(dims, params[:n_enc])  # checks the encoder slice
+        if not np.isfinite(params[n_enc:]).all():
+            raise ValueError("scorer parameters have non-finite entries")
         self.w_begin = params[n_enc : n_enc + d]
         self.w_end = params[n_enc + d :]
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import model as mlp
-from .data import Dataset
+from .data import UNLABELED, Dataset
 from .regularizers import RegularizerSpec, penalty_batch
 from .tensor import RandomSource, permutation
 
@@ -99,7 +99,7 @@ def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
     if ds.n_features != model.n_inputs:
         raise ValueError(f"dataset has {ds.n_features} features, model expects {model.n_inputs}")
     X = ds.features[idx]
-    y = np.array([ds.labels[i] for i in idx])
+    y = ds.labels[idx]
     if y.max() >= model.n_classes:
         raise ValueError("dataset labels exceed the model's class count")
     tr = mlp.forward_batch(model, X)
@@ -128,11 +128,11 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
     eval_sets = eval_sets or {}
     if ds.n_features != model0.n_inputs:
         raise ValueError(f"dataset has {ds.n_features} features, model expects {model0.n_inputs}")
-    labeled = np.array([y is not None for y in ds.labels])
+    labeled = ds.labels != UNLABELED
     n_labeled = int(labeled.sum())
     if n_labeled == 0 and spec.kind == "none":
         raise ValueError("all examples are unlabeled and there is no penalty: nothing to optimize")
-    y_filled = np.array([0 if y is None else int(y) for y in ds.labels])
+    y_filled = np.where(labeled, ds.labels, 0)  # any class will do: weights zero these rows
     if n_labeled and y_filled.max() >= model0.n_classes:
         raise ValueError("dataset labels exceed the model's class count")
     weights = labeled.astype(np.float64)

@@ -2,11 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pdrlab import cli
 from pdrlab.cli import ConfigError, main, parse_config
-from pdrlab.data import read_csv
+from pdrlab.data import UNLABELED, read_csv
 from pdrlab.properties import PropertyResult
 
 TRAIN_CONFIG = """\
@@ -50,7 +51,7 @@ def test_gen_data_labeled_fraction(tmp_path):
     assert run_main(["gen-data", "two-moons", "--n", "40", "--labeled-fraction", "0.5",
                      "--out", str(out)]) == 0
     ds = read_csv(out)
-    assert sum(1 for y in ds.labels if y is not None) == 20
+    assert np.sum(ds.labels != UNLABELED) == 20
 
 
 def test_gen_data_bias_pair(tmp_path):
@@ -73,7 +74,7 @@ def test_gen_data_shift_round_trips_through_csv(tmp_path):
     run_main(["gen-data", "gaussian-mixture", "--n", "30", "--shift-angle", "0.5",
               "--out", str(shifted)])
     a, b = read_csv(plain), read_csv(shifted)
-    assert a.labels == b.labels
+    assert np.array_equal(a.labels, b.labels)
     assert not (a.features == b.features).all()
 
 

@@ -15,14 +15,49 @@ from pdrlab.data import (
 )
 
 
+# ---------------------------------------------------------------- dataset
+
+def test_labels_are_a_read_only_int64_vector():
+    raw = np.array([0, UNLABELED, 1], dtype=np.int32)
+    ds = Dataset(np.zeros((3, 2)), raw, 2, {})
+    assert ds.labels.dtype == np.int64 and ds.labels.shape == (3,)
+    assert not ds.labels.flags.writeable
+    raw[0] = 1  # the dataset holds its own copy
+    assert ds.labels.tolist() == [0, UNLABELED, 1]
+    assert ds.labeled_indices().tolist() == [0, 2]
+
+
+def test_labels_below_the_sentinel_are_rejected():
+    with pytest.raises(ValueError, match="labels must lie in"):
+        Dataset(np.zeros((2, 2)), (0, -2), 2, {})
+
+
+def test_labels_at_or_above_the_class_count_are_rejected():
+    with pytest.raises(ValueError, match="labels must lie in"):
+        Dataset(np.zeros((2, 2)), (0, 2), 2, {})
+
+
+@pytest.mark.parametrize("labels", [(0.0, 1.0), (0, None), (True, False), ("0", "1")])
+def test_non_integer_labels_are_rejected(labels):
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Dataset(np.zeros((2, 2)), labels, 2, {})
+
+
+def test_labels_must_match_the_example_count():
+    with pytest.raises(ValueError, match="example count"):
+        Dataset(np.zeros((3, 2)), (0, 1), 2, {})
+    with pytest.raises(ValueError, match="example count"):
+        Dataset(np.zeros((2, 2)), [[0, 1]], 2, {})
+
+
 # ---------------------------------------------------------------- two moons
 
 def test_moons_counts_and_balance():
     ds = make_two_moons(201, 0.1, seed=3)
     assert ds.n_examples == 201
     assert ds.n_classes == 2
-    assert sum(1 for y in ds.labels if y == 0) == 101  # ceil(n/2) in class 0
-    assert sum(1 for y in ds.labels if y == 1) == 100
+    assert np.sum(ds.labels == 0) == 101  # ceil(n/2) in class 0
+    assert np.sum(ds.labels == 1) == 100
 
 
 def test_moons_noiseless_geometry():
@@ -54,7 +89,7 @@ def test_moons_rejects_bad_args():
 def test_moons_core_rule_is_exact_on_noiseless_arcs():
     ds = make_two_moons(80, 0.0, seed=1)
     got = moons_core_rule(ds.features)
-    assert np.array_equal(got, np.array(ds.labels))
+    assert np.array_equal(got, ds.labels)
 
 
 # ---------------------------------------------------------------- gaussian mixture
@@ -63,14 +98,13 @@ def test_mixture_counts_and_labels():
     ds = make_gaussian_mixture(10, k=3, dim=4, separation=3.0, seed=2)
     assert ds.n_examples == 10
     assert ds.n_classes == 3
-    counts = [sum(1 for y in ds.labels if y == c) for c in range(3)]
-    assert counts == [4, 3, 3]
+    assert np.bincount(ds.labels).tolist() == [4, 3, 3]
 
 
 def test_mixture_means_are_equidistant():
     sep = 6.0
     ds = make_gaussian_mixture(6000, k=3, dim=3, separation=sep, seed=5)
-    y = np.array(ds.labels)
+    y = ds.labels
     centers = np.stack([ds.features[y == c].mean(axis=0) for c in range(3)])
     for a in range(3):
         for b in range(a + 1, 3):
@@ -122,8 +156,8 @@ def test_shift_validation():
 
 def test_spurious_pair_shortcut_alignment():
     train, ev = make_spurious_pair(100, core_noise=0.0, seed=3)
-    y_tr = np.array(train.labels)
-    y_ev = np.array(ev.labels)
+    y_tr = train.labels
+    y_ev = ev.labels
     # shortcut column equals 2y-1 on train and is inverted on eval
     assert np.array_equal(train.features[:, 2], 2.0 * y_tr - 1.0)
     assert np.array_equal(ev.features[:, 2], -(2.0 * y_ev - 1.0))
@@ -139,8 +173,8 @@ def test_spurious_pair_marginals_match():
 
 def test_spurious_pair_core_is_still_moons():
     train, ev = make_spurious_pair(60, core_noise=0.0, seed=5)
-    assert np.array_equal(moons_core_rule(train.features), np.array(train.labels))
-    assert np.array_equal(moons_core_rule(ev.features), np.array(ev.labels))
+    assert np.array_equal(moons_core_rule(train.features), train.labels)
+    assert np.array_equal(moons_core_rule(ev.features), ev.labels)
 
 
 def test_spurious_pair_noise_streams_differ_between_splits():
@@ -153,25 +187,36 @@ def test_spurious_pair_noise_streams_differ_between_splits():
 def test_withhold_keeps_rounded_count():
     ds = make_two_moons(101, 0.1, seed=7)
     out = withhold_labels(ds, 0.5, seed=8)
-    kept = [y for y in out.labels if y is not None]
+    kept = out.labels[out.labels != UNLABELED]
     assert len(kept) == round(0.5 * 101) == 50
+
+
+def test_withhold_golden_kept_indices():
+    # golden kept indices: the stratified choice must reproduce them exactly
+    out = withhold_labels(make_two_moons(101, 0.1, seed=7), 0.5, seed=8)
+    assert np.flatnonzero(out.labels != UNLABELED).tolist() == [
+        0, 2, 5, 8, 9, 10, 12, 17, 18, 22, 25, 26, 27, 28, 29, 30, 31, 35, 37, 38, 40, 41, 44,
+        46, 49, 51, 54, 57, 59, 60, 62, 66, 68, 70, 71, 73, 75, 76, 78, 80, 82, 83, 84, 89, 90,
+        95, 96, 97, 98, 100]
+    # class counts 14, 13, 13 at 0.45: floors 6, 5, 5, and classes 1 and 2 tie
+    # on the largest remainder, so each gets one of the two leftover labels
+    out = withhold_labels(make_gaussian_mixture(40, 3, 2, 3.0, seed=5), 0.45, seed=6)
+    assert np.flatnonzero(out.labels != UNLABELED).tolist() == [
+        1, 6, 9, 11, 12, 13, 14, 17, 18, 20, 25, 26, 27, 29, 34, 35, 36, 37]
 
 
 def test_withhold_is_stratified():
     ds = make_two_moons(100, 0.1, seed=9)
     out = withhold_labels(ds, 0.3, seed=10)
-    per_class = {0: 0, 1: 0}
-    for y in out.labels:
-        if y is not None:
-            per_class[y] += 1
+    per_class = np.bincount(out.labels[out.labels != UNLABELED], minlength=2)
     # 50 per class at fraction 0.3 keeps 15 of each
-    assert per_class == {0: 15, 1: 15}
+    assert per_class.tolist() == [15, 15]
 
 
 def test_withhold_edges():
     ds = make_two_moons(20, 0.1, seed=11)
-    assert withhold_labels(ds, 1.0, 1).labels == ds.labels
-    assert all(y is None for y in withhold_labels(ds, 0.0, 1).labels)
+    assert np.array_equal(withhold_labels(ds, 1.0, 1).labels, ds.labels)
+    assert np.all(withhold_labels(ds, 0.0, 1).labels == UNLABELED)
     with pytest.raises(ValueError):
         withhold_labels(ds, 1.5, 1)
     with pytest.raises(ValueError):
@@ -183,8 +228,8 @@ def test_withhold_is_seeded():
     a = withhold_labels(ds, 0.4, seed=13)
     b = withhold_labels(ds, 0.4, seed=13)
     c = withhold_labels(ds, 0.4, seed=14)
-    assert a.labels == b.labels
-    assert a.labels != c.labels
+    assert np.array_equal(a.labels, b.labels)
+    assert not np.array_equal(a.labels, c.labels)
 
 
 # ---------------------------------------------------------------- csv round trip
@@ -195,17 +240,17 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     write_csv(ds, path)
     back = read_csv(path)
     assert np.array_equal(back.features, ds.features)  # repr floats survive
-    assert back.labels == ds.labels
+    assert np.array_equal(back.labels, ds.labels)
     assert back.n_classes == 2
 
 
 def test_csv_unlabeled_sentinel(tmp_path):
-    ds = Dataset(np.array([[0.5, 1.5]]), (None,), 2, {})
+    ds = Dataset(np.array([[0.5, 1.5]]), (UNLABELED,), 2, {})
     path = tmp_path / "u.csv"
     write_csv(ds, path)
     text = path.read_text()
     assert text.splitlines()[1].endswith(f",{UNLABELED}")
-    assert read_csv(path).labels == (None,)
+    assert read_csv(path).labels.tolist() == [UNLABELED]
 
 
 def test_csv_errors_carry_line_numbers(tmp_path):

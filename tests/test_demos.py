@@ -1,4 +1,4 @@
-"""Smoke test: the sub-second demos run to completion against the library."""
+"""Smoke test: the quick demos run to completion against the library."""
 
 import os
 import subprocess
@@ -9,10 +9,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the longer demos (two_moons_lab, half_labels, shortcut_bias) take seconds to
-# minutes and are left to be run by hand
+# the longer demos (two_moons_lab, half_labels) take seconds to minutes and are
+# left to be run by hand
 FAST_DEMOS = ["divergence_zoo.py", "second_order_zoom.py", "span_pointer.py",
-              "search_vs_sampling.py"]
+              "search_vs_sampling.py", "shortcut_bias.py"]
 
 
 @pytest.mark.parametrize("demo", FAST_DEMOS)

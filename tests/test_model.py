@@ -71,7 +71,21 @@ def test_forward_replays_bit_exact():
     t1 = mlp.forward(m, x)
     t2 = mlp.forward(m, x)
     assert np.array_equal(t1.logits, t2.logits)
-    assert np.array_equal(t1.posterior, t2.posterior)
+    assert np.array_equal(t1.posteriors, t2.posteriors)
+
+
+def test_forward_is_the_one_row_batch_trace():
+    m = small_model(5)
+    x = np.array([0.3, -1.2])
+    tr = mlp.forward(m, x)
+    assert isinstance(tr, mlp.BatchTrace)
+    assert tr.inputs.shape == (1, 2) and tr.posteriors.shape == (1, m.n_classes)
+    assert np.array_equal(mlp.posterior(m, x), tr.posteriors[0])
+    with pytest.raises(ValueError, match="one-row"):
+        mlp.backward_ce(m, mlp.forward_batch(m, np.zeros((2, 2))), 0)
+    with pytest.raises(ValueError, match="one-row"):
+        mlp.backward_scalar_of_posterior(m, mlp.forward_batch(m, np.zeros((2, 2))),
+                                          np.ones(m.n_classes))
 
 
 def test_forward_matches_manual_composition():
@@ -80,9 +94,9 @@ def test_forward_matches_manual_composition():
     h = np.tanh(m.weights[0] @ x + m.biases[0])
     z = m.weights[1] @ h + m.biases[1]
     tr = mlp.forward(m, x)
-    assert np.allclose(tr.hiddens[0], h, atol=1e-15)
-    assert np.allclose(tr.logits, z, atol=1e-15)
-    assert np.allclose(tr.posterior, softmax(z), atol=1e-15)
+    assert np.allclose(tr.hiddens[0][0], h, atol=1e-15)
+    assert np.allclose(tr.logits[0], z, atol=1e-15)
+    assert np.allclose(tr.posteriors[0], softmax(z), atol=1e-15)
 
 
 def test_forward_batch_matches_single_rows():
@@ -92,8 +106,8 @@ def test_forward_batch_matches_single_rows():
     for i in range(6):
         single = mlp.forward(m, X[i])
         # GEMM kernels may reassociate across batch shapes; only ulp noise allowed
-        assert np.allclose(tr.logits[i], single.logits, atol=1e-13)
-        assert np.allclose(tr.posteriors[i], single.posterior, atol=1e-13)
+        assert np.allclose(tr.logits[i], single.logits[0], atol=1e-13)
+        assert np.allclose(tr.posteriors[i], single.posteriors[0], atol=1e-13)
 
 
 def test_posterior_is_a_distribution():
@@ -118,7 +132,7 @@ def test_linear_model_no_hidden_layers():
     x = np.array([1.0, -1.0, 0.5])
     tr = mlp.forward(m, x)
     assert tr.hiddens == ()
-    assert np.allclose(tr.logits, m.weights[0] @ x + m.biases[0], atol=1e-15)
+    assert np.allclose(tr.logits[0], m.weights[0] @ x + m.biases[0], atol=1e-15)
 
 
 # ---------------------------------------------------------------- gradients
@@ -140,7 +154,7 @@ def test_ce_grads_match_fd(dims):
 
     def value(mm):
         tr = mlp.forward(mm, x)
-        return -math.log(tr.posterior[label])
+        return -math.log(tr.posteriors[0, label])
 
     _, grads, _ = mlp.backward_ce(m, mlp.forward(m, x), label)
     assert_grads_close(grads, fd_param_grads(value, m))

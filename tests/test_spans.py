@@ -66,6 +66,17 @@ def test_params_are_encoder_then_scorers():
         SpanModel(m.enc_dims, m.params[:-1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["w_begin", "w_end", "encoder"])
+def test_non_finite_parameters_are_rejected_at_construction(bad, where):
+    m = small_span_model(3)
+    n_enc, d = m.encoder.params.size, m.w_begin.size
+    params = m.params.copy()
+    params[{"encoder": 0, "w_begin": n_enc, "w_end": n_enc + 2 * d - 1}[where]] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SpanModel(m.enc_dims, params)
+
+
 def test_distributions_are_simplexes():
     m = small_span_model(2)
     pb, pe = span_distributions(m, random_features(3, t=7))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
-from pdrlab.data import Dataset, make_two_moons, withhold_labels
+from pdrlab.data import UNLABELED, Dataset, make_two_moons, withhold_labels
 from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
 from pdrlab.tensor import RandomSource
 from pdrlab.trainer import (
@@ -87,7 +87,7 @@ def test_evaluate_matches_manual_computation():
     m = init_model_for(ds, (6,), seed=3)
     rep = evaluate(m, ds)
     tr = mlp.forward_batch(m, ds.features)
-    y = np.array(ds.labels)
+    y = ds.labels
     acc = float(np.mean(np.argmax(tr.posteriors, axis=1) == y))
     ce = float(np.mean(-np.log(tr.posteriors[np.arange(30), y])))
     assert rep.accuracy == pytest.approx(acc, abs=1e-12)
@@ -106,7 +106,7 @@ def test_evaluate_errors():
     m = init_model_for(ds, (4,), seed=6)
     with pytest.raises(ValueError):
         evaluate(m, Dataset(np.zeros((2, 3)), (0, 1), 2, {}))
-    all_unlabeled = Dataset(ds.features, (None,) * 10, 2, {})
+    all_unlabeled = Dataset(ds.features, (UNLABELED,) * 10, 2, {})
     with pytest.raises(ValueError):
         evaluate(m, all_unlabeled)
     three_class = Dataset(ds.features, (0, 1, 2) + (0,) * 7, 3, {})
@@ -186,7 +186,7 @@ def test_semi_supervised_uses_unlabeled_rows():
 
 def test_all_unlabeled_without_penalty_is_an_error():
     ds = tiny_moons(n=10)
-    unlabeled = Dataset(ds.features, (None,) * 10, 2, dict(ds.provenance))
+    unlabeled = Dataset(ds.features, (UNLABELED,) * 10, 2, dict(ds.provenance))
     m0 = init_model_for(ds, (4,), seed=7)
     with pytest.raises(ValueError, match="nothing to optimize"):
         train(m0, unlabeled, quick_config())
