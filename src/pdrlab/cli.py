@@ -82,28 +82,30 @@ def _build_parser() -> _Parser:
 
 # ----------------------------------------------------------------- config
 
+# key: (value type, "section.field" it sets on TrainConfig ("train"), its
+# RegularizerSpec or its PerturbationConfig; None for keys read elsewhere)
 _SCALARS = {
-    "data": str,
-    "seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "lr_decay": str,
-    "model.hidden": str,
-    "optimizer.kind": str,
-    "optimizer.learning_rate": float,
-    "optimizer.beta1": float,
-    "optimizer.beta2": float,
-    "optimizer.eps": float,
-    "regularizer.kind": str,
-    "regularizer.divergence": str,
-    "regularizer.alpha": float,
-    "regularizer.through_clean": bool,
-    "perturbation.radius": float,
-    "perturbation.norm": str,
-    "perturbation.steps": int,
-    "perturbation.eta": float,
-    "perturbation.init_std": float,
-    "perturbation.samples": int,
+    "data": (str, None),
+    "seed": (int, "train.seed"),
+    "epochs": (int, "train.epochs"),
+    "batch_size": (int, "train.batch_size"),
+    "lr_decay": (str, "train.lr_decay"),
+    "model.hidden": (str, None),
+    "optimizer.kind": (str, "train.optimizer"),
+    "optimizer.learning_rate": (float, "train.learning_rate"),
+    "optimizer.beta1": (float, "train.beta1"),
+    "optimizer.beta2": (float, "train.beta2"),
+    "optimizer.eps": (float, "train.adam_eps"),
+    "regularizer.kind": (str, "regularizer.kind"),
+    "regularizer.divergence": (str, "regularizer.generator_kind"),
+    "regularizer.alpha": (float, "regularizer.alpha"),
+    "regularizer.through_clean": (bool, "regularizer.through_clean"),
+    "perturbation.radius": (float, "perturbation.radius"),
+    "perturbation.norm": (str, "perturbation.norm_kind"),
+    "perturbation.steps": (int, "perturbation.ascent_steps"),
+    "perturbation.eta": (float, "perturbation.step_size"),
+    "perturbation.init_std": (float, "perturbation.init_std"),
+    "perturbation.samples": (int, "perturbation.samples_per_example"),
 }
 
 
@@ -128,7 +130,7 @@ def parse_config(text: str) -> dict:
             continue
         if key not in _SCALARS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = _SCALARS[key]
+        kind = _SCALARS[key][0]
         try:
             if kind is bool:
                 if value.lower() not in ("true", "false"):
@@ -156,35 +158,22 @@ def _parse_hidden(text: str):
 
 
 def build_train_config(cfg: dict, seed_override=None) -> tr.TrainConfig:
-    pert = PerturbationConfig(
-        radius=cfg.get("perturbation.radius", 0.1),
-        norm_kind=cfg.get("perturbation.norm", "l2"),
-        ascent_steps=cfg.get("perturbation.steps", 1),
-        step_size=cfg.get("perturbation.eta", 1e-3),
-        init_std=cfg.get("perturbation.init_std", 1e-5),
-        samples_per_example=cfg.get("perturbation.samples", 1),
-    )
-    reg = RegularizerSpec(
-        kind=cfg.get("regularizer.kind", "none"),
-        generator_kind=cfg.get("regularizer.divergence", "KL"),
-        alpha=cfg.get("regularizer.alpha", 1.0),
-        perturbation=pert,
-        through_clean=cfg.get("regularizer.through_clean", False),
-    )
-    seed = seed_override if seed_override is not None else cfg.get("seed", 1)
+    """TrainConfig from the keys present in cfg; every field no key sets keeps
+    its dataclass default, and the three TrainConfig fields without one
+    default to 30 epochs, batches of 32 and seed 1."""
+    args = {"train": {"epochs": 30, "batch_size": 32, "seed": 1}, "regularizer": {},
+            "perturbation": {}}
+    for key, value in cfg.items():
+        target = _SCALARS.get(key, (None, None))[1]  # eval.* keys set no field
+        if target:
+            section, name = target.split(".")
+            args[section][name] = value
+    if seed_override is not None:
+        args["train"]["seed"] = seed_override
+    pert = PerturbationConfig(**args["perturbation"])
+    reg = RegularizerSpec(perturbation=pert, **args["regularizer"])
     try:
-        return tr.TrainConfig(
-            epochs=cfg.get("epochs", 30),
-            batch_size=cfg.get("batch_size", 32),
-            seed=int(seed),
-            optimizer=cfg.get("optimizer.kind", "adam"),
-            learning_rate=cfg.get("optimizer.learning_rate", 1e-2),
-            beta1=cfg.get("optimizer.beta1", 0.9),
-            beta2=cfg.get("optimizer.beta2", 0.999),
-            adam_eps=cfg.get("optimizer.eps", 1e-8),
-            lr_decay=cfg.get("lr_decay", "none"),
-            regularizer=reg,
-        )
+        return tr.TrainConfig(regularizer=reg, **args["train"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -31,6 +31,8 @@ class Dataset:
         labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2 or labels.shape != (self.features.shape[0],):
             raise ValueError("features and labels disagree on example count")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("features have non-finite entries")
         if labels.size and (labels.min() < UNLABELED or labels.max() >= self.n_classes):
             raise ValueError(f"labels must lie in [{UNLABELED}, {self.n_classes}), "
                              f"got {labels.min()}..{labels.max()}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RandomSource, softmax
+from .tensor import RandomSource, log_sum_exp, softmax
 
 MODEL_FORMAT_VERSION = 1
 
@@ -200,9 +200,7 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     labels = np.asarray(labels)
     rows = np.arange(tr.logits.shape[0])
     # loss = lse(logits) - logit[label], stable for saturated posteriors
-    m = np.max(tr.logits, axis=1)
-    lse = m + np.log(np.sum(np.exp(tr.logits - m[:, None]), axis=1))
-    losses = lse - tr.logits[rows, labels]
+    losses = log_sum_exp(tr.logits) - tr.logits[rows, labels]
     g = tr.posteriors.copy()
     g[rows, labels] -= 1.0
     if weights is not None:
@@ -254,6 +252,22 @@ def input_jacobian(model, x) -> np.ndarray:
     return input_jacobian_batch(model, forward(model, x))[0]
 
 
+def _tangent(model, tr, direction):
+    """Forward-mode pass along input directions, one per row of `direction`.
+
+    tr needs `inputs` and `hiddens` as a BatchTrace has them. Returns
+    (per hidden layer: (pre-activation tangent, activation tangent); tangent
+    of the linear last-layer outputs).
+    """
+    tangents = []
+    da = direction
+    for w, a in zip(model.weights[:-1], tr.hiddens):
+        dz = da @ w.T
+        da = (1.0 - a * a) * dz
+        tangents.append((dz, da))
+    return tangents, da @ model.weights[-1].T
+
+
 def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
     """Squared Frobenius norms of the posterior Jacobians and their exact
     parameter gradients.
@@ -275,16 +289,7 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
 
     for k in range(m):
         # tangent pass: directional derivative along c_k = Jacobian row k
-        da = jac[:, k, :]
-        tangents = []  # per hidden layer: (a, dz, da)
-        a_prev, da_prev = tr.inputs, da
-        for l in range(n_layers - 1):
-            dz = da_prev @ model.weights[l].T
-            a = tr.hiddens[l]
-            da_prev = (1.0 - a * a) * dz
-            tangents.append((a, dz, da_prev))
-            a_prev = a
-        dz_top = da_prev @ model.weights[-1].T  # tangent of the logits
+        tangents, dz_top = _tangent(model, tr, jac[:, k, :])
         u = np.sum(p * dz_top, axis=1, keepdims=True)
 
         # reverse pass, seeded at component k of the posterior tangent
@@ -296,16 +301,15 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
 
         for l in range(n_layers - 1, -1, -1):
             a_prev = tr.hiddens[l - 1] if l > 0 else tr.inputs
-            da_prev = tangents[l - 1][2] if l > 0 else jac[:, k, :]
+            da_prev = tangents[l - 1][1] if l > 0 else jac[:, k, :]
             wg[l][...] += g_z.T @ a_prev + g_dz.T @ da_prev
             bg[l][...] += g_z.sum(axis=0)
             g_a = g_z @ model.weights[l]
             g_da = g_dz @ model.weights[l]
             if l > 0:
-                a, dz, _ = tangents[l - 1]
-                sech2 = 1.0 - a * a
+                sech2 = 1.0 - a_prev * a_prev
                 g_dz = sech2 * g_da
-                g_a = g_a - 2.0 * a * dz * g_da  # dependency of the tangent on a
+                g_a = g_a - 2.0 * a_prev * tangents[l - 1][0] * g_da  # dependency of the tangent on a
                 g_z = sech2 * g_a
 
     return values, 2.0 * grads

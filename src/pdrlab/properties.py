@@ -566,7 +566,7 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
 
 def _random_span_model(rng: RandomSource, n_feat=3, hidden=(6,), d=4) -> sp.SpanModel:
     base = sp.init_span_model((n_feat, *hidden, d), rng)
-    n_enc = base.encoder.params.size
+    n_enc = mlp.n_params(base.enc_dims)
     # rescale to generic size: the encoder by 1.3 (its biases start at zero),
     # the two scorers by 2
     return base.with_params(np.concatenate([base.params[:n_enc] * 1.3, base.params[n_enc:] * 2.0]))
@@ -618,7 +618,7 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         spec = RegularizerSpec("rpt", "JSD", perturbation=PerturbationConfig(radius=0.3))
         src = rng.split(42, i, 2)
         res = sp.span_penalty(model, feats, spec, src)
-        eps = src.split(0).generator().standard_normal(feats.shape) * 0.3
+        eps = gaussian_vec(src.split(0), feats.size, 0.3).reshape(feats.shape)
         tr = sp.span_forward(model, feats)
         trn = sp.span_forward(model, feats + eps)
         gen = GENERATORS["JSD"]
@@ -687,7 +687,7 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             re = np.maximum(trn.end_probs, PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
             return float(np.sum(p_b * gen.g(rb)) + np.sum(p_e * gen.g(re)))
 
-        pen_err = max(pen_err, _grad_rel_err(res.grads, _fd_param_grads(frozen, model)))
+        pen_err = max(pen_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
     out.append(PropertyResult("span_loss_grads_match_fd", loss_err <= 1e-4, 1e-4 - loss_err,
                               f"max relative deviation = {loss_err:.3e}"))
     out.append(PropertyResult("span_penalty_grads_match_fd", pen_err <= 1e-4, 1e-4 - pen_err,

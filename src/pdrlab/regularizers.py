@@ -124,6 +124,14 @@ def _project(delta, cfg: PerturbationConfig):
     return np.where(norms > 0, cfg.radius * delta / np.maximum(norms, 1e-300), delta)
 
 
+def _ascent_step(delta, asc, cfg: PerturbationConfig):
+    """One normalized ascent step along `asc` for each row (last axis) of delta;
+    rows with a vanishing ascent gradient keep their current delta."""
+    norms = np.sqrt(np.sum(asc * asc, axis=-1, keepdims=True))
+    step = np.where(norms >= _ASCENT_NORM_FLOOR, cfg.step_size / np.maximum(norms, 1e-300), 0.0)
+    return delta + step * asc
+
+
 def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows,
                       weights=None):
     """Adversarial-perturbation penalty for a batch; one RandomRows row per batch row.
@@ -140,10 +148,7 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
         trn = mlp.forward_batch(model, tr.inputs + delta)
         _, seed, _ = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         _, asc = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
-        norms = np.sqrt(np.sum(asc * asc, axis=-1, keepdims=True))
-        # rows with a vanishing ascent gradient keep their current delta
-        step = np.where(norms >= _ASCENT_NORM_FLOOR, cfg.step_size / np.maximum(norms, 1e-300), 0.0)
-        delta = delta + step * asc
+        delta = _ascent_step(delta, asc, cfg)
     delta = _project(delta, cfg)
 
     trn = mlp.forward_batch(model, tr.inputs + delta)
@@ -189,13 +194,14 @@ def quadratic_penalty(model, x, gen: Generator, eps) -> float:
 
     J and f are the posterior Jacobian and posterior at the clean input;
     f is floored before inverting. This is the second-order Taylor value of
-    the divergence penalty at perturbation eps.
+    the divergence penalty at perturbation eps. J eps comes from one
+    forward-mode tangent pass.
     """
     tr = mlp.forward(model, x)
-    jac = mlp.input_jacobian_batch(model, tr)[0]
-    f = np.maximum(tr.posteriors[0], PROB_FLOOR)
-    jeps = jac @ np.asarray(eps, dtype=np.float64)
-    return float(0.5 * gen.curvature_at_one * np.sum(jeps * jeps / f))
+    p = tr.posteriors[0]
+    _, dz = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64)[None, :])
+    jeps = mlp._softmax_vjp(p, dz[0])  # the softmax Jacobian is symmetric
+    return float(0.5 * gen.curvature_at_one * np.sum(jeps * jeps / np.maximum(p, PROB_FLOOR)))
 
 
 @dataclass(frozen=True)

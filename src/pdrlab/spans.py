@@ -6,9 +6,10 @@ the T encodings into begin and end distributions over positions; a span (i, j)
 has probability P_begin(i) * P_end(j), so the joint table normalizes to 1 by
 construction.
 
-Smoothness penalties perturb the whole feature matrix with one shared draw by
-default and sum the begin and end divergences. The Jacobian-norm penalty is
-not defined for this head.
+Smoothness penalties perturb the whole feature matrix with one shared draw
+and sum the begin and end divergences; the draw kernel, the ascent step and
+the result type are the classifier penalties'. The Jacobian-norm penalty and
+the through_clean branch are not defined for this head.
 """
 
 from __future__ import annotations
@@ -19,41 +20,49 @@ import numpy as np
 
 from . import model as mlp
 from .divergences import PROB_FLOOR, generator
-from .regularizers import RegularizerSpec, _ASCENT_NORM_FLOOR, _divergence_rows, _project
-from .tensor import RandomSource, softmax
+from .regularizers import PenaltyResult, RegularizerSpec, _ascent_step, _divergence_rows, _project
+from .tensor import RandomSource, gaussian_vec, log_sum_exp, softmax
 
 
 class SpanModel:
     """Immutable parameters in one read-only float64 vector laid out
-    [encoder layout, w_begin, w_end]. `encoder` is an MlpModel over the
-    leading slice (its last layer is the linear encoding), and w_begin,
+    [encoder layout, w_begin, w_end]. `weights` and `biases` are the
+    encoder's per-layer views into the leading slice (its last layer is the
+    linear encoding), so the MLP passes run on a SpanModel directly; w_begin,
     w_end are views of the two trailing d-vectors. Parameter gradients are
     flat arrays in the same layout.
     """
 
-    __slots__ = ("enc_dims", "params", "encoder", "w_begin", "w_end")
+    __slots__ = ("enc_dims", "params", "weights", "biases", "w_begin", "w_end")
 
     def __init__(self, enc_dims, params):
         dims = tuple(map(int, enc_dims))
         if len(dims) < 2:
             raise ValueError("enc_dims needs at least feature and encoding sizes")
+        if min(dims) < 1:
+            raise ValueError(f"enc_dims must be positive, got {dims}")
         params = np.asarray(params, dtype=np.float64)
         n_enc, d = mlp.n_params(dims), dims[-1]
         if params.shape != (n_enc + 2 * d,):
             raise ValueError(f"params must have shape ({n_enc + 2 * d},) for enc_dims {dims}, "
                              f"got {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("parameters have non-finite entries")
         params.setflags(write=False)
         self.enc_dims = dims
         self.params = params
-        self.encoder = mlp.MlpModel(dims, params[:n_enc])  # checks the encoder slice
-        if not np.isfinite(params[n_enc:]).all():
-            raise ValueError("scorer parameters have non-finite entries")
+        self.weights, self.biases = mlp.unflatten(dims, params)
         self.w_begin = params[n_enc : n_enc + d]
         self.w_end = params[n_enc + d :]
 
     @property
     def n_features(self) -> int:
         return self.enc_dims[0]
+
+    @property
+    def encoder(self) -> mlp.MlpModel:
+        """The encoder as a stand-alone MlpModel over the leading slice."""
+        return mlp.MlpModel(self.enc_dims, self.params[: mlp.n_params(self.enc_dims)])
 
     def with_params(self, params) -> "SpanModel":
         return SpanModel(self.enc_dims, params)
@@ -73,13 +82,6 @@ class SpanTrace:
     end_scores: np.ndarray
     begin_probs: np.ndarray
     end_probs: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpanPenaltyResult:
-    value: float
-    grads: np.ndarray  # flat, in the span model's parameter layout
-    adversarial_direction: np.ndarray | None = None
 
 
 def init_span_model(enc_dims, rng: RandomSource) -> SpanModel:
@@ -103,7 +105,7 @@ def _check_features(model: SpanModel, features) -> np.ndarray:
 
 def span_forward(model: SpanModel, features) -> SpanTrace:
     f = _check_features(model, features)
-    hiddens, h = mlp._forward_core(model.encoder, f)
+    hiddens, h = mlp._forward_core(model, f)
     sb = h @ model.w_begin
     se = h @ model.w_end
     return SpanTrace(f, hiddens, h, sb, se, softmax(sb), softmax(se))
@@ -123,7 +125,7 @@ def joint_span_table(model: SpanModel, features) -> np.ndarray:
 def _scores_backward(model, tr: SpanTrace, g_sb, g_se, want_param_grads=True):
     """(flat parameter grads or None, feature grads) from score-vector seeds."""
     g_h = np.outer(g_sb, model.w_begin) + np.outer(g_se, model.w_end)
-    enc_grads, fg = mlp._backward_from_logits(model.encoder, tr, g_h, want_param_grads)
+    enc_grads, fg = mlp._backward_from_logits(model, tr, g_h, want_param_grads)
     if not want_param_grads:
         return None, fg
     return np.concatenate([enc_grads, tr.encodings.T @ g_sb, tr.encodings.T @ g_se]), fg
@@ -135,11 +137,8 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     t = tr.inputs.shape[0]
     if not (0 <= int(start) < t and 0 <= int(end) < t):
         raise ValueError(f"span ({start}, {end}) out of range for {t} positions")
-    m_b, m_e = tr.begin_scores.max(), tr.end_scores.max()
-    loss = (
-        m_b + np.log(np.sum(np.exp(tr.begin_scores - m_b))) - tr.begin_scores[int(start)]
-        + m_e + np.log(np.sum(np.exp(tr.end_scores - m_e))) - tr.end_scores[int(end)]
-    )
+    loss = (log_sum_exp(tr.begin_scores) - tr.begin_scores[int(start)]
+            + log_sum_exp(tr.end_scores) - tr.end_scores[int(end)])
     g_sb = tr.begin_probs.copy()
     g_sb[int(start)] -= 1.0
     g_se = tr.end_probs.copy()
@@ -148,85 +147,70 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     return float(loss), grads
 
 
-def _term_value_and_score_seeds(gen, trn: SpanTrace, tr: SpanTrace):
-    vb, seed_b, _ = _divergence_rows(gen, trn.begin_probs, tr.begin_probs)
-    ve, seed_e, _ = _divergence_rows(gen, trn.end_probs, tr.end_probs)
-    g_sb = mlp._softmax_vjp(trn.begin_probs, seed_b)
-    g_se = mlp._softmax_vjp(trn.end_probs, seed_e)
-    return float(vb) + float(ve), g_sb, g_se
-
-
-def _ascent_direction(model, tr, gen, delta):
+def _divergence_grads(model, tr: SpanTrace, gen, delta, want_param_grads=True):
+    """(summed begin+end divergence at features + delta against the clean
+    distributions, flat parameter grads or None, feature grads)."""
     trn = span_forward(model, tr.inputs + delta)
-    _, g_sb, g_se = _term_value_and_score_seeds(gen, trn, tr)
-    _, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads=False)
-    return fg
+    noisy = np.stack((trn.begin_probs, trn.end_probs))
+    values, seed, _ = _divergence_rows(gen, noisy, np.stack((tr.begin_probs, tr.end_probs)))
+    g_sb, g_se = mlp._softmax_vjp(noisy, seed)
+    grads, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads)
+    return float(values.sum()), grads, fg
 
 
-def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomSource) -> SpanPenaltyResult:
+def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Summed begin+end divergence penalty under one shared perturbation.
 
     kind rpt draws the perturbation; kind vat runs normalized gradient
     ascent on the summed divergence and projects to the norm ball. The
-    perturbation is one (T, n_feat) matrix applied to both terms; norms for
-    ascent and projection treat it as a flat vector.
+    perturbation is one (T, n_feat) matrix applied to both terms. It is
+    drawn and searched as one flat row with the classifier penalties' draw
+    kernel and ascent step, so ascent and projection norms treat it as a flat
+    vector. The clean distributions are constants, so through_clean is
+    rejected.
     """
     if spec.kind == "jr":
         raise ValueError("the Jacobian-norm penalty is not defined for span models")
     if spec.kind not in ("rpt", "vat"):
         raise ValueError(f"no span penalty for kind {spec.kind!r}")
+    if spec.through_clean:
+        raise ValueError("through_clean is not defined for span models")
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
     tr = span_forward(model, features)
     shape = tr.inputs.shape
 
     if spec.kind == "rpt":
-        acc_value = 0.0
-        acc = None
+        scale = 1.0 / cfg.samples_per_example
+        value, acc = 0.0, np.zeros(model.params.size)
         for s in range(cfg.samples_per_example):
-            eps = rng.split(s).generator().standard_normal(shape) * cfg.radius
-            trn = span_forward(model, tr.inputs + eps)
-            value, g_sb, g_se = _term_value_and_score_seeds(gen, trn, tr)
-            grads, _ = _scores_backward(model, trn, g_sb, g_se)
-            acc_value += value
-            acc = grads if acc is None else acc + grads
-        k = cfg.samples_per_example
-        return SpanPenaltyResult(acc_value / k, (1.0 / k) * acc)
+            eps = gaussian_vec(rng.split(s), tr.inputs.size, cfg.radius).reshape(shape)
+            v, grads, _ = _divergence_grads(model, tr, gen, eps)
+            value += v
+            acc += scale * grads
+        return PenaltyResult(value / cfg.samples_per_example, acc)
 
-    delta = rng.split(0).generator().standard_normal(shape) * cfg.init_std
+    delta = gaussian_vec(rng.split(0), tr.inputs.size, cfg.init_std)
     for _ in range(cfg.ascent_steps):
-        g = _ascent_direction(model, tr, gen, delta)
-        nrm = np.sqrt(np.sum(g * g))
-        if nrm >= _ASCENT_NORM_FLOOR:
-            delta = delta + cfg.step_size * g / nrm
-    delta = _project(delta.reshape(-1), cfg).reshape(shape)
-    trn = span_forward(model, tr.inputs + delta)
-    value, g_sb, g_se = _term_value_and_score_seeds(gen, trn, tr)
-    grads, _ = _scores_backward(model, trn, g_sb, g_se)
-    return SpanPenaltyResult(value, grads, delta)
+        _, _, asc = _divergence_grads(model, tr, gen, delta.reshape(shape), want_param_grads=False)
+        delta = _ascent_step(delta, asc.reshape(-1), cfg)
+    delta = _project(delta, cfg).reshape(shape)
+    value, grads, _ = _divergence_grads(model, tr, gen, delta)
+    return PenaltyResult(value, grads, delta)
 
 
 def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
     """Second-order value of the summed penalty at perturbation eps.
 
-    Uses the Jacobians of the begin and end distributions in the flattened
-    features: (g''(1)/2) [eps^T J_b^T diag(1/P_b) J_b eps + (end term)].
+    (g''(1)/2) [eps^T J_b^T diag(1/P_b) J_b eps + (end term)], with J_b, J_e
+    the Jacobians of the begin and end distributions in the flattened
+    features. J eps comes from one forward-mode tangent pass.
     """
     tr = span_forward(model, features)
-    t = tr.inputs.shape[0]
-    eps_flat = np.asarray(eps, dtype=np.float64).reshape(-1)
+    _, d_enc = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64).reshape(tr.inputs.shape))
     total = 0.0
-    for probs, which in ((tr.begin_probs, "b"), (tr.end_probs, "e")):
-        jeps = np.empty(t)
-        for i in range(t):
-            seed = np.zeros(t)
-            seed[i] = 1.0
-            g_s = mlp._softmax_vjp(probs, seed)
-            if which == "b":
-                _, fg = _scores_backward(model, tr, g_s, np.zeros(t), want_param_grads=False)
-            else:
-                _, fg = _scores_backward(model, tr, np.zeros(t), g_s, want_param_grads=False)
-            jeps[i] = fg.reshape(-1) @ eps_flat
+    for probs, w in ((tr.begin_probs, model.w_begin), (tr.end_probs, model.w_end)):
+        jeps = mlp._softmax_vjp(probs, d_enc @ w)  # the softmax Jacobian is symmetric
         total += np.sum(jeps * jeps / np.maximum(probs, PROB_FLOOR))
     return float(0.5 * gen.curvature_at_one * total)
 

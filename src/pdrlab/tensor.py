@@ -6,6 +6,11 @@ Everything operates on plain numpy arrays. Vectors are 1-D float64, matrices
 Draws are bit-reproducible from the seed on one platform and numpy build. The
 Gaussian kernel calls libm's log, cos and sin, whose last-bit rounding may
 differ between platforms, so no cross-platform identity is claimed.
+
+Every penalty perturbation, for the classifier and the span head alike,
+comes from `gaussian_rows` (or its one-row case `gaussian_vec`). The Philox
+generator behind `RandomSource.generator` serves only shuffles, datasets,
+parameter inits and the property suites' random instances.
 """
 
 from __future__ import annotations

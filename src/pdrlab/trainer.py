@@ -18,7 +18,7 @@ import numpy as np
 from . import model as mlp
 from .data import UNLABELED, Dataset
 from .regularizers import RegularizerSpec, penalty_batch
-from .tensor import RandomSource, permutation
+from .tensor import RandomSource, log_sum_exp, permutation
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 LR_DECAY_KINDS = ("none", "linear")
@@ -104,9 +104,7 @@ def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
         raise ValueError("dataset labels exceed the model's class count")
     tr = mlp.forward_batch(model, X)
     preds = np.argmax(tr.posteriors, axis=1)  # ties resolve to the lowest class
-    m = np.max(tr.logits, axis=1)
-    lse = m + np.log(np.sum(np.exp(tr.logits - m[:, None]), axis=1))
-    ces = lse - tr.logits[np.arange(idx.size), y]
+    ces = log_sum_exp(tr.logits) - tr.logits[np.arange(idx.size), y]
     return EvalReport(float(np.mean(preds == y)), float(np.mean(ces)), int(idx.size))
 
 

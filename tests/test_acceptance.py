@@ -196,7 +196,7 @@ def test_criterion_04_gradient_paths_match_finite_differences():
             res = sp.span_penalty(model, feats, spec, src)
             # rpt has no search, so replay its draw stream for the frozen eps
             delta = (res.adversarial_direction if mkind == "vat"
-                     else src.split(0).generator().standard_normal(feats.shape) * 0.3)
+                     else gaussian_vec(src.split(0), feats.size, 0.3).reshape(feats.shape))
             gen = GENERATORS["KL"]
 
             def frozen_span(mm):
@@ -206,7 +206,7 @@ def test_criterion_04_gradient_paths_match_finite_differences():
                 return float(np.sum(p_b * gen.g(rb)) + np.sum(p_e * gen.g(re)))
 
             fd = props._fd_param_grads(frozen_span, model)
-            worst_sp = max(worst_sp, props._grad_rel_err(res.grads, fd))
+            worst_sp = max(worst_sp, props._grad_rel_err(res.param_grads, fd))
     errs["span_loss"] = worst_sl
     errs["span_penalty"] = worst_sp
 

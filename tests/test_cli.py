@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from pdrlab import cli
 from pdrlab.cli import ConfigError, main, parse_config
 from pdrlab.data import UNLABELED, read_csv
 from pdrlab.properties import PropertyResult
+from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
+from pdrlab.trainer import TrainConfig
 
 TRAIN_CONFIG = """\
 # tiny run, enough to exercise the whole pipeline
@@ -199,6 +202,35 @@ def test_parse_config_values_and_comments():
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_empty_config_builds_the_default_train_config():
+    pert = PerturbationConfig(radius=0.1, norm_kind="l2", ascent_steps=1, step_size=1e-3,
+                              init_std=1e-5, samples_per_example=1)
+    reg = RegularizerSpec(kind="none", generator_kind="KL", alpha=1.0, perturbation=pert,
+                          through_clean=False)
+    want = TrainConfig(epochs=30, batch_size=32, seed=1, optimizer="adam", learning_rate=1e-2,
+                       beta1=0.9, beta2=0.999, adam_eps=1e-8, lr_decay="none", regularizer=reg)
+    assert cli.build_train_config({}) == want
+    assert cli.build_train_config({}, seed_override=5) == replace(want, seed=5)
+
+
+def test_every_config_key_sets_its_field():
+    cfg = parse_config(
+        "data = d.csv\nmodel.hidden = 4\neval.test = t.csv\n"
+        "seed = 7\nepochs = 3\nbatch_size = 5\nlr_decay = linear\noptimizer.kind = sgd\n"
+        "optimizer.learning_rate = 0.5\noptimizer.beta1 = 0.8\noptimizer.beta2 = 0.99\n"
+        "optimizer.eps = 1e-6\nregularizer.kind = vat\nregularizer.divergence = JSD\n"
+        "regularizer.alpha = 2\nregularizer.through_clean = true\nperturbation.radius = 0.3\n"
+        "perturbation.norm = linf\nperturbation.steps = 2\nperturbation.eta = 0.01\n"
+        "perturbation.init_std = 1e-4\nperturbation.samples = 3\n")
+    pert = PerturbationConfig(radius=0.3, norm_kind="linf", ascent_steps=2, step_size=0.01,
+                              init_std=1e-4, samples_per_example=3)
+    reg = RegularizerSpec(kind="vat", generator_kind="JSD", alpha=2.0, perturbation=pert,
+                          through_clean=True)
+    assert cli.build_train_config(cfg) == TrainConfig(
+        epochs=3, batch_size=5, seed=7, optimizer="sgd", learning_rate=0.5, beta1=0.8,
+        beta2=0.99, adam_eps=1e-6, lr_decay="linear", regularizer=reg)
 
 
 # ---------------------------------------------------------------- divergence

@@ -50,6 +50,15 @@ def test_labels_must_match_the_example_count():
         Dataset(np.zeros((2, 2)), [[0, 1]], 2, {})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_rejected(bad):
+    ds = make_two_moons(40, 0.1, seed=1)
+    features = ds.features.copy()
+    features[4, 1] = bad
+    with pytest.raises(ValueError, match="features have non-finite entries"):
+        Dataset(features, ds.labels, 2, ds.provenance)
+
+
 # ---------------------------------------------------------------- two moons
 
 def test_moons_counts_and_balance():

@@ -280,6 +280,20 @@ def test_quadratic_penalty_closed_form():
     assert quadratic_penalty(m, x, gen, eps) == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.parametrize("dims", [(3, 3), (3, 5, 3), (4, 6, 5, 3), (2, 8, 8, 2)])
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_quadratic_penalty_matches_assembled_jacobian(dims, kind):
+    m = small_model(63, dims=dims)
+    x = gaussian_vec(RandomSource(64), dims[0])
+    eps = gaussian_vec(RandomSource(65), dims[0])
+    gen = GENERATORS[kind]
+    jeps = mlp.input_jacobian(m, x) @ eps
+    f = np.maximum(mlp.posterior(m, x), PROB_FLOOR)
+    want = 0.5 * gen.curvature_at_one * float(np.sum(jeps * jeps / f))
+    assert want > 0
+    assert quadratic_penalty(m, x, gen, eps) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("kind", ["KL", "RKL", "SHL", "JSD"])
 def test_divergence_approaches_quadratic_at_small_radius(kind):
     m = small_model(67, dims=(2, 5, 3))

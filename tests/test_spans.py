@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pdrlab import model as mlp
 from pdrlab.divergences import GENERATORS, PROB_FLOOR, generator
 from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
 from pdrlab.properties import _fd_param_grads as fd_span_grads
 from pdrlab.properties import _grad_rel_err
 from pdrlab.spans import (
     SpanModel,
+    _scores_backward,
     apply_span_update,
     init_span_model,
     joint_span_table,
@@ -19,7 +21,7 @@ from pdrlab.spans import (
     span_penalty,
     span_quadratic_penalty,
 )
-from pdrlab.tensor import RandomSource
+from pdrlab.tensor import RandomSource, gaussian_vec
 
 
 def small_span_model(seed=1, dims=(3, 5, 4)):
@@ -39,6 +41,11 @@ def frozen_pair_divergence(model, features, eps, pb0, pe0, kind):
         ratio = np.maximum(noisy, PROB_FLOOR) / np.maximum(clean, PROB_FLOOR)
         total += float(np.sum(clean * gen.g(ratio)))
     return total
+
+
+def replayed_draw(rng, shape, std):
+    """A span penalty's draw for stream rng: one flat gaussian_vec row."""
+    return gaussian_vec(rng, int(np.prod(shape)), std).reshape(shape)
 
 
 def assert_span_grads_close(grads, fd, tol=1e-4):
@@ -169,7 +176,7 @@ def test_rpt_penalty_matches_manual_draw():
                            perturbation=PerturbationConfig(radius=0.1))
     rng = RandomSource(21)
     res = span_penalty(m, f, spec, rng)
-    eps = rng.split(0).generator().standard_normal(f.shape) * 0.1
+    eps = replayed_draw(rng.split(0), f.shape, 0.1)
     pb0, pe0 = span_distributions(m, f)
     assert res.value == pytest.approx(frozen_pair_divergence(m, f, eps, pb0, pe0, "KL"), abs=1e-12)
     assert res.value >= -1e-12
@@ -192,7 +199,7 @@ def test_vat_zero_steps_is_projected_draw():
     spec = RegularizerSpec(kind="vat", perturbation=cfg)
     rng = RandomSource(29)
     res = span_penalty(m, f, spec, rng)
-    raw = rng.split(0).generator().standard_normal(f.shape) * 1e-5
+    raw = replayed_draw(rng.split(0), f.shape, 1e-5)
     want = 0.15 * raw / np.sqrt(np.sum(raw * raw))
     assert np.allclose(res.adversarial_direction, want, atol=1e-15)
 
@@ -206,6 +213,14 @@ def test_jr_kind_is_rejected_for_spans():
 
 
 @pytest.mark.parametrize("kind", ["rpt", "vat"])
+def test_through_clean_is_rejected_for_spans(kind):
+    m = small_span_model()
+    spec = RegularizerSpec(kind=kind, through_clean=True)
+    with pytest.raises(ValueError, match="through_clean"):
+        span_penalty(m, random_features(1), spec, RandomSource(1))
+
+
+@pytest.mark.parametrize("kind", ["rpt", "vat"])
 def test_span_penalty_grads_match_fd(kind):
     m = small_span_model(31, dims=(2, 4, 3))
     f = random_features(32, t=4, n_feat=2)
@@ -215,10 +230,10 @@ def test_span_penalty_grads_match_fd(kind):
     if kind == "vat":
         eps = res.adversarial_direction
     else:
-        eps = RandomSource(33).split(0).generator().standard_normal(f.shape) * 0.2
+        eps = replayed_draw(RandomSource(33).split(0), f.shape, 0.2)
     pb0, pe0 = span_distributions(m, f)
     fd = fd_span_grads(lambda mm: frozen_pair_divergence(mm, f, eps, pb0, pe0, "JSD"), m)
-    assert_span_grads_close(res.grads, fd)
+    assert_span_grads_close(res.param_grads, fd)
 
 
 def test_quadratic_penalty_matches_divergence_at_small_radius():
@@ -232,6 +247,39 @@ def test_quadratic_penalty_matches_divergence_at_small_radius():
     t = 1e-4
     d = frozen_pair_divergence(m, f, t * eps, pb0, pe0, "KL")
     assert d / t**2 == pytest.approx(q, rel=1e-3, abs=1e-9)
+
+
+def vjp_quadratic_penalty(model, features, gen, eps):
+    """The quadratic form from rows of J_b and J_e, each one reverse pass."""
+    tr = span_forward(model, features)
+    t = tr.inputs.shape[0]
+    eps_flat = np.asarray(eps, dtype=np.float64).reshape(-1)
+    total = 0.0
+    for probs, which in ((tr.begin_probs, "b"), (tr.end_probs, "e")):
+        jeps = np.empty(t)
+        for i in range(t):
+            seed = np.zeros(t)
+            seed[i] = 1.0
+            g_s = mlp._softmax_vjp(probs, seed)
+            if which == "b":
+                _, fg = _scores_backward(model, tr, g_s, np.zeros(t), want_param_grads=False)
+            else:
+                _, fg = _scores_backward(model, tr, np.zeros(t), g_s, want_param_grads=False)
+            jeps[i] = fg.reshape(-1) @ eps_flat
+        total += np.sum(jeps * jeps / np.maximum(probs, PROB_FLOOR))
+    return float(0.5 * gen.curvature_at_one * total)
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (3, 5, 4), (2, 4, 3, 3)])
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_quadratic_penalty_matches_vjp_assembled_jacobian(dims, kind):
+    m = small_span_model(41, dims=dims)
+    f = random_features(42, t=5, n_feat=dims[0])
+    eps = random_features(43, t=5, n_feat=dims[0])
+    gen = GENERATORS[kind]
+    want = vjp_quadratic_penalty(m, f, gen, eps)
+    assert want > 0
+    assert span_quadratic_penalty(m, f, gen, eps) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_apply_span_update_moves_parameters():
