@@ -170,9 +170,9 @@ def build_train_config(cfg: dict, seed_override=None) -> tr.TrainConfig:
             args[section][name] = value
     if seed_override is not None:
         args["train"]["seed"] = seed_override
-    pert = PerturbationConfig(**args["perturbation"])
-    reg = RegularizerSpec(perturbation=pert, **args["regularizer"])
     try:
+        pert = PerturbationConfig(**args["perturbation"])
+        reg = RegularizerSpec(perturbation=pert, **args["regularizer"])
         return tr.TrainConfig(regularizer=reg, **args["train"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

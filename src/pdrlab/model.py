@@ -218,11 +218,9 @@ def backward_ce(model, trace: BatchTrace, label: int):
     return float(losses[0]), grads, xg[0]
 
 
-def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed, weights=None):
-    """Gradients of sum_i w_i s_i where d s_i / d posterior_i = seed row i."""
+def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed):
+    """Gradients of sum_i s_i where d s_i / d posterior_i = seed row i."""
     seed = np.asarray(seed, dtype=np.float64)
-    if weights is not None:
-        seed = seed * np.asarray(weights)[:, None]
     return _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, seed))
 
 
@@ -268,7 +266,7 @@ def _tangent(model, tr, direction):
     return tangents, da @ model.weights[-1].T
 
 
-def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
+def jacobian_sq_norm_grads_batch(model, tr: BatchTrace):
     """Squared Frobenius norms of the posterior Jacobians and their exact
     parameter gradients.
 
@@ -280,7 +278,6 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
     """
     jac = input_jacobian_batch(model, tr)
     values = np.sum(jac * jac, axis=(1, 2))
-    w = None if weights is None else np.asarray(weights)[:, None]
     n_layers = len(model.weights)
     grads = np.zeros(model.params.size)
     wg, bg = unflatten(model.layer_dims, grads)
@@ -294,7 +291,7 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace, weights=None):
 
         # reverse pass, seeded at component k of the posterior tangent
         ghat = np.zeros_like(p)
-        ghat[:, k] = 1.0 if w is None else w[:, 0]
+        ghat[:, k] = 1.0
         g_dz = p * ghat - np.sum(ghat * p, axis=1, keepdims=True) * p
         g_p = ghat * dz_top - u * ghat - np.sum(ghat * p, axis=1, keepdims=True) * dz_top
         g_z = _softmax_vjp(p, g_p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as mlp
-from .divergences import PROB_FLOOR, Generator, generator, kl_divergence, l1_distance, l2_distance
+from .divergences import PROB_FLOOR, Generator, _ratio, generator, kl_divergence, l1_distance, l2_distance
 from .tensor import RandomRows, RandomSource, frobenius_norm, gaussian_rows, gaussian_vec, spectral_norm
 
 _ASCENT_NORM_FLOOR = 1e-12
@@ -71,7 +71,7 @@ class PenaltyResult:
 
 def _divergence_rows(gen: Generator, p_noisy, p_clean):
     """Rowwise divergence values and d(value)/d(p_noisy) seeds."""
-    ratio = np.maximum(p_noisy, PROB_FLOOR) / np.maximum(p_clean, PROB_FLOOR)
+    ratio = _ratio(p_noisy, p_clean)
     values = np.sum(p_clean * gen.g(ratio), axis=-1)
     return values, gen.g_prime(ratio), ratio
 
@@ -87,8 +87,7 @@ def jr_penalty(model: mlp.MlpModel, x) -> PenaltyResult:
     return PenaltyResult(float(values[0]), grads)
 
 
-def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows,
-                      weights=None):
+def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """Random-perturbation penalty for a batch; one RandomRows row per batch row.
 
     Returns (values (B,), flat parameter grads summed over rows and averaged
@@ -106,12 +105,10 @@ def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
         trn = mlp.forward_batch(model, tr.inputs + eps)
         vals, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         values += vals
-        grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed, weights)
+        grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
         acc += scale * grads
         if spec.through_clean:
-            grads_c, _ = mlp.backward_scalar_of_posterior_batch(
-                model, tr, _clean_branch_seed(gen, ratio), weights
-            )
+            grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, _clean_branch_seed(gen, ratio))
             acc += scale * grads_c
     values /= cfg.samples_per_example
     return values, acc
@@ -132,8 +129,7 @@ def _ascent_step(delta, asc, cfg: PerturbationConfig):
     return delta + step * asc
 
 
-def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows,
-                      weights=None):
+def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """Adversarial-perturbation penalty for a batch; one RandomRows row per batch row.
 
     Ascent runs strictly per example: each row climbs its own divergence.
@@ -153,11 +149,9 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
 
     trn = mlp.forward_batch(model, tr.inputs + delta)
     values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
-    grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed, weights)
+    grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
     if spec.through_clean:
-        grads_c, _ = mlp.backward_scalar_of_posterior_batch(
-            model, tr, _clean_branch_seed(gen, ratio), weights
-        )
+        grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, _clean_branch_seed(gen, ratio))
         grads = grads + grads_c
     return values, grads, delta
 
@@ -174,17 +168,17 @@ def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyRe
     return PenaltyResult(float(values[0]), grads, delta[0])
 
 
-def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows, weights=None):
+def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows):
     """Dispatch on spec.kind; returns (values (B,), flat parameter grads).
 
     rows may be None for jr, which draws nothing.
     """
     if spec.kind == "jr":
-        return mlp.jacobian_sq_norm_grads_batch(model, tr, weights)
+        return mlp.jacobian_sq_norm_grads_batch(model, tr)
     if spec.kind == "rpt":
-        return rpt_penalty_batch(model, tr, spec, rows, weights)
+        return rpt_penalty_batch(model, tr, spec, rows)
     if spec.kind == "vat":
-        values, grads, _ = vat_penalty_batch(model, tr, spec, rows, weights)
+        values, grads, _ = vat_penalty_batch(model, tr, spec, rows)
         return values, grads
     raise ValueError(f"no penalty for kind {spec.kind!r}")
 

@@ -178,11 +178,11 @@ def check_simplex(p: np.ndarray, name: str = "distribution", tol: float = 1e-12)
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] < 1:
         raise ValueError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError(f"{name} has non-finite entries")
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError(f"{name} has negative entries")
-    if np.any(np.abs(p.sum(axis=-1) - 1.0) > tol):
+    if (np.abs(p.sum(axis=-1) - 1.0) > tol).any():
         raise ValueError(f"{name} does not sum to 1 within {tol}")
     return p
 

@@ -175,6 +175,18 @@ def test_train_bad_config_key_is_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["perturbation.norm = l3", "perturbation.radius = -1",
+                                  "regularizer.kind = foo", "regularizer.divergence = XYZ"])
+def test_train_bad_config_value_is_config_error(tmp_path, capsys, line):
+    data = tmp_path / "d.csv"
+    run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data = {data}\n{line}\n")
+    capsys.readouterr()
+    assert run_main(["train", "--config", str(cfg)]) == 1
+    assert "pdrlab: config error" in capsys.readouterr().err
+
+
 def test_eval_missing_model_is_runtime_error(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
@@ -282,8 +294,8 @@ def test_verify_small_run_passes(capsys):
 
 
 def test_verify_reports_failures_with_exit_two(monkeypatch, capsys):
-    rows = [PropertyResult("broken_identity", False, -0.5, "observed drift"),
-            PropertyResult("fine", True, 0.1, "")]
+    rows = [PropertyResult("broken_identity", -0.5, "observed drift"),
+            PropertyResult("fine", 0.1, "")]
     monkeypatch.setattr(cli.props, "run_suite", lambda *a, **k: rows)
     assert run_main(["verify", "--suite", "divergence"]) == 2
     captured = capsys.readouterr()

@@ -1,7 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pdrlab.divergences import Generator
+from pdrlab import model as mlp
+from pdrlab import properties, regularizers, tensor
+from pdrlab.divergences import GENERATORS, KL, Generator
 from pdrlab.properties import (
     SUITE_NAMES,
     PropertyResult,
@@ -72,6 +77,71 @@ def test_nonconvex_generator_is_caught():
     failed = {r.name for r in results if not r.passed}
     assert "generator_convexity" in failed
     assert "divergence_nonnegative" in failed
+
+
+def _failed(results):
+    return {r.name for r in results if not r.passed}
+
+
+def test_nan_slack_is_not_passed():
+    assert not PropertyResult("nan_row", math.nan).passed
+    assert PropertyResult("zero_row", -0.0).passed
+    assert not PropertyResult("negative_row", -1e-300).passed
+
+
+def test_nan_generator_values_are_caught():
+    # KL wherever t <= 3, NaN above: the NaNs must not vanish from the folds
+    def nan_above(f):
+        return lambda t: np.where(np.asarray(t) > 3.0, np.nan, f(t))
+
+    gen = Generator("NAN3", nan_above(KL.g), nan_above(KL.g_prime), nan_above(KL.g_double_prime),
+                    curvature_at_one=1.0)
+    failed = _failed(run_suite("divergence", trials=50, seed=1, generators=[gen]))
+    assert {"generator_convexity", "generator_derivatives_match_fd", "divergence_nonnegative",
+            "divergence_grad_matches_fd"} <= failed
+
+
+def test_nan_ce_gradient_is_caught(monkeypatch):
+    clean = mlp.backward_ce_batch
+
+    def one_nan_entry(*args, **kwargs):
+        losses, grads, xg = clean(*args, **kwargs)
+        grads = grads.copy()
+        grads[0] = np.nan
+        return losses, grads, xg
+
+    monkeypatch.setattr(mlp, "backward_ce_batch", one_nan_entry)
+    assert "ce_grads_match_fd" in _failed(run_suite("jacobian", trials=40, seed=1))
+
+
+@pytest.mark.parametrize("seed", [34, 80521325])
+def test_vat_suite_passes_where_the_plain_mc_mean_missed_the_gate(seed):
+    # the 1000-draw plain mean of D read 0.108 and 0.136 relative error here
+    assert _failed(run_suite("vat", trials=100, seed=seed)) == set()
+
+
+def _scaled_gaussian_rows(factor):
+    clean = tensor.gaussian_rows
+    return lambda rows, n, std=1.0: clean(rows, n, std * factor)
+
+
+def test_rpt_draw_scale_is_caught(monkeypatch):
+    monkeypatch.setattr(regularizers, "gaussian_rows", _scaled_gaussian_rows(math.sqrt(2.0)))
+    assert "rpt_mean_matches_quadratic_trace" in _failed(run_suite("vat", trials=100, seed=1))
+
+
+def test_shared_kernel_draw_scale_is_caught(monkeypatch):
+    # rpt_penalty and the replay both see the wrong scale, so D - Q stays small
+    # and only the chi-square check of the draws can tell
+    scaled = _scaled_gaussian_rows(math.sqrt(2.0))
+    for module in (tensor, regularizers, properties):
+        monkeypatch.setattr(module, "gaussian_rows", scaled)
+    assert "rpt_draw_second_moment" in _failed(run_suite("vat", trials=100, seed=1))
+
+
+def test_doubled_curvature_is_caught(monkeypatch):
+    monkeypatch.setitem(GENERATORS, "KL", replace(KL, curvature_at_one=2.0))
+    assert "rpt_mean_matches_quadratic_trace" in _failed(run_suite("vat", trials=100, seed=1))
 
 
 def test_worker_count_env(monkeypatch):
