@@ -1,0 +1,8 @@
+"""`python -m pdrlab ...`: the same command line as the `pdrlab` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,9 +3,9 @@
 The network maps an n-vector through tanh hidden layers to softmax class
 probabilities. All differentiation is written out by hand: cross-entropy
 backward, backward of any scalar of the posterior (seeded at the posterior),
-the input Jacobian of the posterior, and the parameter gradient of the
-squared Jacobian norm via a forward tangent pass followed by a reverse pass
-over the combined graph.
+and tangents along input directions. The posterior's input Jacobian is
+accumulated from the output side as (B, m, h) arrays, and the parameter
+gradient of its squared norm is one reverse sweep over that accumulation.
 
 Per-example functions take 1-D inputs, and their trace is the one-row
 BatchTrace of that input; the *_batch variants take one example per row and
@@ -167,12 +167,12 @@ def _check_one_row(trace: BatchTrace) -> None:
         raise ValueError(f"expected the one-row trace of forward, got {trace.inputs.shape[0]} rows")
 
 
-def _backward_from_logits(model, tr, g_logits, want_param_grads=True):
+def _backward_from_logits(model, tr, g_logits, want_param_grads=True, g_sech2=None):
     """Backpropagate d(scalar)/d(logits) rows to parameters and inputs.
 
-    tr needs `inputs` and `hiddens` as a BatchTrace has them. Returns
-    (flat parameter grads summed over the batch, or None when not wanted;
-    input grads, one per row).
+    tr needs `inputs` and `hiddens` as a BatchTrace has them; g_sech2 adds a
+    d(scalar)/d(1 - a_l^2) for each hidden layer. Returns (flat parameter
+    grads summed over the batch, or None when not wanted; input grads, one per row).
     """
     parts = []  # b_l, W_l for l = L-1 .. 0: the parameter layout reversed
     d = g_logits
@@ -182,6 +182,8 @@ def _backward_from_logits(model, tr, g_logits, want_param_grads=True):
             parts += [d.sum(axis=0), (d.T @ a_prev).ravel()]
         d = d @ model.weights[l]
         if l > 0:
+            if g_sech2 is not None:
+                d = d - 2.0 * a_prev * g_sech2[l - 1]
             d = d * (1.0 - a_prev * a_prev)
     return (np.concatenate(parts[::-1]) if want_param_grads else None), d
 
@@ -234,15 +236,28 @@ def backward_scalar_of_posterior(model, trace: BatchTrace, dvalue_dposterior):
     return grads, xg[0]
 
 
+def _jacobian_path(model, tr):
+    """Posterior input Jacobians, accumulated from the output side.
+
+    With a_l = tr.hiddens[l], the logit Jacobian Jz = W_L D_{L-1} ... D_0 W_0,
+    D_l = diag(1 - a_l^2), is the running (B, m, h_l) product V_l = M_{l+1}
+    W_{l+1}, M_l = V_l * (1 - a_l^2), one GEMM over a (B*m, h) reshape per
+    layer. Returns (J = p * c, c = Jz - p^T Jz, Jz, [(V_l, M_l) per hidden layer]).
+    """
+    p = tr.posteriors
+    b, m = p.shape
+    path = []  # from the top hidden layer down
+    v = np.broadcast_to(model.weights[-1], (b, m, model.weights[-1].shape[1]))
+    for w, a in zip(model.weights[-2::-1], tr.hiddens[::-1]):
+        path.append((v, v * (1.0 - a * a)[:, None, :]))
+        v = (path[-1][1].reshape(b * m, -1) @ w).reshape(b, m, -1)
+    c = v - np.einsum("bk,bkj->bj", p, v)[:, None, :]
+    return p[:, :, None] * c, c, v, path[::-1]
+
+
 def input_jacobian_batch(model, tr: BatchTrace) -> np.ndarray:
-    """(B, m, n) Jacobians of the posterior in the input, one VJP per class."""
-    b, m = tr.posteriors.shape
-    jac = np.empty((b, m, n := model.n_inputs))
-    for k in range(m):
-        p = tr.posteriors
-        g = p * (np.eye(1, m, k) - p[:, k : k + 1])  # row k of the softmax Jacobian
-        _, jac[:, k, :] = _backward_from_logits(model, tr, g, want_param_grads=False)
-    return jac
+    """(B, m, n) Jacobians of the posterior in the input, from `_jacobian_path`."""
+    return _jacobian_path(model, tr)[0]
 
 
 def input_jacobian(model, x) -> np.ndarray:
@@ -268,48 +283,33 @@ def _tangent(model, tr, direction):
 
 def jacobian_sq_norm_grads_batch(model, tr: BatchTrace):
     """Squared Frobenius norms of the posterior Jacobians and their exact
-    parameter gradients.
+    parameter gradients, by one reverse sweep over `_jacobian_path`.
 
-    For each class k the stored Jacobian row c_k is treated as a constant,
-    a tangent pass propagates the directional derivative of the posterior
-    along c_k, and a reverse pass over the combined graph accumulates
-    d <J_k, c_k> / d theta. Doubling the sum over k gives the gradient of
-    ||J||_F^2. Returns (values (B,), flat parameter grads summed over the batch).
+    Its first loop runs bottom-up along the Jacobian path from d/dJz (B, m, n):
+    one (B*m, h) GEMM per weight term, and d/d(1 - a_l^2) (B, h_l) per hidden
+    layer. The primal top-down sweep from d/dp then adds -2 a_l d/d(1 - a_l^2)
+    at each hidden layer. Returns (values (B,), flat grads summed over the batch).
     """
-    jac = input_jacobian_batch(model, tr)
-    values = np.sum(jac * jac, axis=(1, 2))
-    n_layers = len(model.weights)
-    grads = np.zeros(model.params.size)
-    wg, bg = unflatten(model.layer_dims, grads)
-    p = tr.posteriors
-    m = model.n_classes
-
-    for k in range(m):
-        # tangent pass: directional derivative along c_k = Jacobian row k
-        tangents, dz_top = _tangent(model, tr, jac[:, k, :])
-        u = np.sum(p * dz_top, axis=1, keepdims=True)
-
-        # reverse pass, seeded at component k of the posterior tangent
-        ghat = np.zeros_like(p)
-        ghat[:, k] = 1.0
-        g_dz = p * ghat - np.sum(ghat * p, axis=1, keepdims=True) * p
-        g_p = ghat * dz_top - u * ghat - np.sum(ghat * p, axis=1, keepdims=True) * dz_top
-        g_z = _softmax_vjp(p, g_p)
-
-        for l in range(n_layers - 1, -1, -1):
-            a_prev = tr.hiddens[l - 1] if l > 0 else tr.inputs
-            da_prev = tangents[l - 1][1] if l > 0 else jac[:, k, :]
-            wg[l][...] += g_z.T @ a_prev + g_dz.T @ da_prev
-            bg[l][...] += g_z.sum(axis=0)
-            g_a = g_z @ model.weights[l]
-            g_da = g_dz @ model.weights[l]
-            if l > 0:
-                sech2 = 1.0 - a_prev * a_prev
-                g_dz = sech2 * g_da
-                g_a = g_a - 2.0 * a_prev * tangents[l - 1][0] * g_da  # dependency of the tangent on a
-                g_z = sech2 * g_a
-
-    return values, 2.0 * grads
+    jac, c, jz, path = _jacobian_path(model, tr)
+    b, m, _ = jac.shape
+    p = tr.posteriors[:, :, None]
+    grads = np.zeros(model.params.size)  # the Jacobian path's weight terms
+    wg, _ = unflatten(model.layer_dims, grads)
+    # reverse of J = p * (Jz - p^T Jz), seeded with d(||J||^2 / 2)/dJ = J
+    pj = p * jac
+    w = pj.sum(axis=1)
+    g = (pj - p * w[:, None, :]).reshape(b * m, -1)  # d/dJz
+    g_p = np.einsum("bkj,bkj->bk", jac, c) - np.einsum("bkj,bj->bk", jz, w)
+    g_sech2 = []
+    for l, ((v, mm), a) in enumerate(zip(path, tr.hiddens)):
+        wg[l][...] += mm.reshape(b * m, -1).T @ g
+        np.matmul(g, model.weights[l].T, out=mm.reshape(b * m, -1))  # M_l is spent: it takes d/dM_l
+        g_sech2.append(np.einsum("bkh,bkh->bh", mm, v))
+        mm *= (1.0 - a * a)[:, None, :]
+        g = mm.reshape(b * m, -1)
+    wg[-1][...] += g.reshape(b, m, -1).sum(axis=0)
+    primal, _ = _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, g_p), g_sech2=g_sech2)
+    return np.sum(jac * jac, axis=(1, 2)), 2.0 * (grads + primal)
 
 
 def apply_update(model: MlpModel, grads: np.ndarray, step) -> MlpModel:

@@ -74,8 +74,8 @@ def _min_or_nan(*values: float) -> float:
 
 
 def worker_count() -> int:
-    """Worker cap from PDR_LAB_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("PDR_LAB_THREADS", "0")
+    """Worker cap from PDR_LAB_THREADS; 0, unset or blank means auto."""
+    raw = os.environ.get("PDR_LAB_THREADS", "").strip() or "0"
     try:
         v = int(raw)
     except ValueError:

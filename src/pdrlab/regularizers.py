@@ -11,7 +11,8 @@ perturbation:
           normalized gradient ascent inside a norm ball.
 
 The clean posterior is a constant for gradient purposes (stop-gradient);
-`through_clean=True` additionally differentiates the reference branch.
+`through_clean=True` additionally differentiates the reference branch; it
+is defined only for rpt and vat, which have one.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
+        if self.through_clean and self.kind not in ("rpt", "vat"):
+            raise ValueError(f"through_clean is defined only for rpt and vat, not {self.kind!r}")
         generator(self.generator_kind)  # validates the name
 
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,7 +178,9 @@ def test_train_bad_config_key_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["perturbation.norm = l3", "perturbation.radius = -1",
-                                  "regularizer.kind = foo", "regularizer.divergence = XYZ"])
+                                  "regularizer.kind = foo", "regularizer.divergence = XYZ",
+                                  "regularizer.through_clean = true",
+                                  "regularizer.kind = jr\nregularizer.through_clean = true"])
 def test_train_bad_config_value_is_config_error(tmp_path, capsys, line):
     data = tmp_path / "d.csv"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
@@ -303,6 +307,13 @@ def test_verify_reports_failures_with_exit_two(monkeypatch, capsys):
     assert "broken_identity" in captured.err
 
 
+@pytest.mark.parametrize("blank", ["", " "])
+def test_verify_treats_blank_thread_env_as_unset(monkeypatch, capsys, blank):
+    monkeypatch.setenv("PDR_LAB_THREADS", blank)
+    assert run_main(["verify", "--suite", "divergence", "--trials", "10"]) == 0
+    assert "properties held" in capsys.readouterr().out
+
+
 def test_verify_rejects_bad_trials(capsys):
     assert run_main(["verify", "--trials", "0"]) == 1
     capsys.readouterr()
@@ -327,6 +338,16 @@ def test_module_entry_point_divergence():
          "--p", "0.5,0.5", "--q", "0.25,0.75"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert proc.stdout.strip() == "0.143841036226"
+
+
+def test_package_entry_point_runs_from_a_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdrlab", "divergence", "--p", "0.5,0.5", "--q", "0.25,0.75"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.143841036226"
 
 

@@ -267,6 +267,75 @@ def test_jacobian_sq_norm_deeper_model_grads():
     assert_grads_close(grads, fd_param_grads(value, m))
 
 
+def per_class_jacobian_sq_norm_grads(model, tr):
+    """(J, ||J||_F^2 per row, its summed parameter gradient), one class at a
+    time: a VJP per class for row k of J, then a tangent pass along that row
+    and a reverse pass over the combined graph for d <J_k, c_k> / d theta."""
+    p = tr.posteriors
+    b, m = p.shape
+    jac = np.empty((b, m, model.n_inputs))
+    for k in range(m):
+        g = p * (np.eye(1, m, k) - p[:, k : k + 1])  # row k of the softmax Jacobian
+        _, jac[:, k, :] = mlp._backward_from_logits(model, tr, g, want_param_grads=False)
+    grads = np.zeros(model.params.size)
+    wg, bg = mlp.unflatten(model.layer_dims, grads)
+    for k in range(m):
+        tangents, dz_top = mlp._tangent(model, tr, jac[:, k, :])
+        u = np.sum(p * dz_top, axis=1, keepdims=True)
+        ghat = np.zeros_like(p)
+        ghat[:, k] = 1.0
+        g_dz = p * ghat - np.sum(ghat * p, axis=1, keepdims=True) * p
+        g_p = ghat * dz_top - u * ghat - np.sum(ghat * p, axis=1, keepdims=True) * dz_top
+        g_z = mlp._softmax_vjp(p, g_p)
+        for l in range(len(model.weights) - 1, -1, -1):
+            a_prev = tr.hiddens[l - 1] if l > 0 else tr.inputs
+            da_prev = tangents[l - 1][1] if l > 0 else jac[:, k, :]
+            wg[l][...] += g_z.T @ a_prev + g_dz.T @ da_prev
+            bg[l][...] += g_z.sum(axis=0)
+            g_a = g_z @ model.weights[l]
+            g_da = g_dz @ model.weights[l]
+            if l > 0:
+                sech2 = 1.0 - a_prev * a_prev
+                g_dz = sech2 * g_da
+                g_a = g_a - 2.0 * a_prev * tangents[l - 1][0] * g_da  # the tangent depends on a
+                g_z = sech2 * g_a
+    return jac, np.sum(jac * jac, axis=(1, 2)), 2.0 * grads
+
+
+def max_rel_dev(got, want):
+    """Largest entry deviation relative to the largest reference entry; a zero
+    reference demands an exact zero."""
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+
+
+JACOBIAN_SHAPES = [((4, 3), 5), ((3, 4, 1), 4), ((5, 8, 7, 3), 6), ((2, 3, 3, 3, 2), 7),
+                   ((16, 128, 10), 1), ((16, 128, 10), 9), ((16, 128, 10), 32)]
+
+
+@pytest.mark.parametrize("dims,rows", JACOBIAN_SHAPES,
+                         ids=[f"{'x'.join(map(str, d))}-B{b}" for d, b in JACOBIAN_SHAPES])
+def test_jacobian_sq_norm_matches_per_class_reference(dims, rows):
+    m = mlp.init_mlp(dims, RandomSource(71))
+    X = RandomSource(72).generator().standard_normal((rows, dims[0]))
+    tr = mlp.forward_batch(m, X)
+    want_jac, want_values, want_grads = per_class_jacobian_sq_norm_grads(m, tr)
+    values, grads = mlp.jacobian_sq_norm_grads_batch(m, tr)
+    assert values.shape == (rows,) and grads.shape == m.params.shape
+    assert max_rel_dev(mlp.input_jacobian_batch(m, tr), want_jac) <= 1e-12
+    assert max_rel_dev(values, want_values) <= 1e-12
+    assert max_rel_dev(grads, want_grads) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (5, 8, 7, 3), (16, 128, 10)])
+def test_jacobian_sq_norm_grads_sum_over_rows(dims):
+    m = mlp.init_mlp(dims, RandomSource(73))
+    X = RandomSource(74).generator().standard_normal((9, dims[0]))
+    values, grads = mlp.jacobian_sq_norm_grads_batch(m, mlp.forward_batch(m, X))
+    singles = [mlp.jacobian_sq_norm_grads_batch(m, mlp.forward_batch(m, x[None, :])) for x in X]
+    assert max_rel_dev(values, np.concatenate([v for v, _ in singles])) <= 1e-13
+    assert max_rel_dev(grads, np.sum([g for _, g in singles], axis=0)) <= 1e-13
+
+
 # ---------------------------------------------------------------- updates and io
 
 def test_apply_update():

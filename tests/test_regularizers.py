@@ -59,6 +59,13 @@ def test_regularizer_spec_validation():
         RegularizerSpec(kind="rpt", generator_kind="nope")
 
 
+@pytest.mark.parametrize("kind", ["none", "jr"])
+def test_through_clean_is_rejected_without_a_clean_branch(kind):
+    RegularizerSpec(kind=kind)
+    with pytest.raises(ValueError, match="through_clean"):
+        RegularizerSpec(kind=kind, through_clean=True)
+
+
 # ---------------------------------------------------------------- jacobian penalty
 
 def test_jr_penalty_is_squared_frobenius_norm():
