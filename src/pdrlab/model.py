@@ -220,10 +220,10 @@ def backward_ce(model, trace: BatchTrace, label: int):
     return float(losses[0]), grads, xg[0]
 
 
-def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed):
-    """Gradients of sum_i s_i where d s_i / d posterior_i = seed row i."""
+def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed, want_param_grads=True):
+    """(Parameter grads or None, input grads) of sum_i s_i where d s_i / d posterior_i = seed row i."""
     seed = np.asarray(seed, dtype=np.float64)
-    return _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, seed))
+    return _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, seed), want_param_grads)
 
 
 def backward_scalar_of_posterior(model, trace: BatchTrace, dvalue_dposterior):

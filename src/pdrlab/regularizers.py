@@ -10,13 +10,17 @@ perturbation:
   vat  -- the same divergence at an adversarial perturbation found by
           normalized gradient ascent inside a norm ball.
 
-The clean posterior is a constant for gradient purposes (stop-gradient);
-`through_clean=True` additionally differentiates the reference branch; it
-is defined only for rpt and vat, which have one.
+rpt and vat share one perturbation search for every head: `random_search`
+averages Gaussian draws and `ascent_search` climbs and projects. A head
+supplies only `divergence_grads(delta, want_param_grads)`; the span head's
+lives in `spans`. The clean posterior is a constant for gradient purposes
+(stop-gradient); `through_clean=True` additionally differentiates the
+reference branch; it is defined only for rpt and vat, which have one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +47,8 @@ class PerturbationConfig:
     def __post_init__(self):
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
-        if self.radius < 0 or self.step_size < 0 or self.init_std < 0:
-            raise ValueError("perturbation sizes must be nonnegative")
+        if not all(0.0 <= v < math.inf for v in (self.radius, self.step_size, self.init_std)):
+            raise ValueError("perturbation sizes must be finite and nonnegative")
         if self.ascent_steps < 0 or self.samples_per_example < 1:
             raise ValueError("ascent_steps must be >= 0 and samples_per_example >= 1")
 
@@ -62,6 +66,8 @@ class RegularizerSpec:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
         if self.through_clean and self.kind not in ("rpt", "vat"):
             raise ValueError(f"through_clean is defined only for rpt and vat, not {self.kind!r}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         generator(self.generator_kind)  # validates the name
 
 
@@ -79,42 +85,10 @@ def _divergence_rows(gen: Generator, p_noisy, p_clean):
     return values, gen.g_prime(ratio), ratio
 
 
-def _clean_branch_seed(gen: Generator, ratio):
-    # d/dp of p*g(q/p) at fixed q: g(r) - r g'(r)
-    return gen.g(ratio) - ratio * gen.g_prime(ratio)
-
-
 def jr_penalty(model: mlp.MlpModel, x) -> PenaltyResult:
     """||d posterior / d input||_F^2 with its exact parameter gradient."""
     values, grads = mlp.jacobian_sq_norm_grads_batch(model, mlp.forward(model, x))
     return PenaltyResult(float(values[0]), grads)
-
-
-def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
-    """Random-perturbation penalty for a batch; one RandomRows row per batch row.
-
-    Returns (values (B,), flat parameter grads summed over rows and averaged
-    over samples). Draw s for row i comes from row i of rows.split(s), so values
-    do not depend on batch composition.
-    """
-    gen = generator(spec.generator_kind)
-    cfg = spec.perturbation
-    b, n = tr.inputs.shape
-    scale = 1.0 / cfg.samples_per_example
-    acc = np.zeros(model.params.size)
-    values = np.zeros(b)
-    for s in range(cfg.samples_per_example):
-        eps = gaussian_rows(rows.split(s), n, cfg.radius)
-        trn = mlp.forward_batch(model, tr.inputs + eps)
-        vals, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
-        values += vals
-        grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
-        acc += scale * grads
-        if spec.through_clean:
-            grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, _clean_branch_seed(gen, ratio))
-            acc += scale * grads_c
-    values /= cfg.samples_per_example
-    return values, acc
 
 
 def _project(delta, cfg: PerturbationConfig):
@@ -132,31 +106,64 @@ def _ascent_step(delta, asc, cfg: PerturbationConfig):
     return delta + step * asc
 
 
-def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
-    """Adversarial-perturbation penalty for a batch; one RandomRows row per batch row.
+def random_search(divergence_grads, rows: RandomRows, n: int, cfg: PerturbationConfig):
+    """(values (B,), parameter grads), each averaged over samples_per_example draws.
 
-    Ascent runs strictly per example: each row climbs its own divergence.
-    With ascent_steps=0 this degrades to a single projected random draw.
-    Returns (values, flat parameter grads summed over rows, perturbations (B, n)).
+    `divergence_grads(delta, want_param_grads=True)` returns (values (B,),
+    flat parameter grads summed over rows or None, input grads (B, n)) at
+    perturbations delta (B, n). Draw s for row i is row i of
+    gaussian_rows(rows.split(s), n, cfg.radius), so no row depends on another.
     """
-    gen = generator(spec.generator_kind)
-    cfg = spec.perturbation
-    n = tr.inputs.shape[1]
+    scale = 1.0 / cfg.samples_per_example
+    values, acc = 0.0, 0.0
+    for s in range(cfg.samples_per_example):
+        vals, grads, _ = divergence_grads(gaussian_rows(rows.split(s), n, cfg.radius))
+        values += vals
+        acc += scale * grads
+    return values / cfg.samples_per_example, acc
+
+
+def ascent_search(divergence_grads, rows: RandomRows, n: int, cfg: PerturbationConfig):
+    """(values (B,), parameter grads, perturbations (B, n)) at the adversarial
+    perturbation. Each row starts from a draw of std init_std (row i of
+    rows.split(0)), climbs its own divergence for ascent_steps normalized
+    steps on input gradients alone, and is projected into the norm ball; with
+    ascent_steps=0 this is a single projected random draw.
+    """
     delta = gaussian_rows(rows.split(0), n, cfg.init_std)
     for _ in range(cfg.ascent_steps):
-        trn = mlp.forward_batch(model, tr.inputs + delta)
-        _, seed, _ = _divergence_rows(gen, trn.posteriors, tr.posteriors)
-        _, asc = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
+        _, _, asc = divergence_grads(delta, want_param_grads=False)
         delta = _ascent_step(delta, asc, cfg)
     delta = _project(delta, cfg)
-
-    trn = mlp.forward_batch(model, tr.inputs + delta)
-    values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
-    grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
-    if spec.through_clean:
-        grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, _clean_branch_seed(gen, ratio))
-        grads = grads + grads_c
+    values, grads, _ = divergence_grads(delta)
     return values, grads, delta
+
+
+def _divergence_grads(model, tr: mlp.BatchTrace, spec: RegularizerSpec):
+    """The classifier's `divergence_grads`: row i's divergence from tr's
+    posterior to the one at tr.inputs[i] + delta[i]."""
+    gen = generator(spec.generator_kind)
+
+    def divergence_grads(delta, want_param_grads=True):
+        trn = mlp.forward_batch(model, tr.inputs + delta)
+        values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        grads, xg = mlp.backward_scalar_of_posterior_batch(model, trn, seed, want_param_grads)
+        if spec.through_clean and want_param_grads:
+            seed_c = gen.g(ratio) - ratio * gen.g_prime(ratio)  # d/dp of p*g(q/p) at fixed q
+            grads = grads + mlp.backward_scalar_of_posterior_batch(model, tr, seed_c)[0]
+        return values, grads, xg
+
+    return divergence_grads
+
+
+def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
+    """rpt for a batch, one RandomRows row per batch row: (values (B,), flat parameter grads)."""
+    return random_search(_divergence_grads(model, tr, spec), rows, tr.inputs.shape[1], spec.perturbation)
+
+
+def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
+    """vat for a batch, one RandomRows row per batch row: (values, grads, perturbations (B, n))."""
+    return ascent_search(_divergence_grads(model, tr, spec), rows, tr.inputs.shape[1], spec.perturbation)
 
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
@@ -181,8 +188,7 @@ def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows):
     if spec.kind == "rpt":
         return rpt_penalty_batch(model, tr, spec, rows)
     if spec.kind == "vat":
-        values, grads, _ = vat_penalty_batch(model, tr, spec, rows)
-        return values, grads
+        return vat_penalty_batch(model, tr, spec, rows)[:2]
     raise ValueError(f"no penalty for kind {spec.kind!r}")
 
 

@@ -6,10 +6,11 @@ the T encodings into begin and end distributions over positions; a span (i, j)
 has probability P_begin(i) * P_end(j), so the joint table normalizes to 1 by
 construction.
 
-Smoothness penalties perturb the whole feature matrix with one shared draw
-and sum the begin and end divergences; the draw kernel, the ascent step and
-the result type are the classifier penalties'. The Jacobian-norm penalty and
-the through_clean branch are not defined for this head.
+This module owns only the head's forward pass, score backward, loss and
+init. Its smoothness penalty sums the begin and end divergences under one
+perturbation of the whole feature matrix, which `regularizers`' shared
+searches draw or climb as one flat row. The Jacobian-norm penalty and the
+through_clean branch are not defined for this head.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import model as mlp
 from .divergences import PROB_FLOOR, generator
-from .regularizers import PenaltyResult, RegularizerSpec, _ascent_step, _divergence_rows, _project
-from .tensor import RandomSource, gaussian_vec, log_sum_exp, softmax
+from .regularizers import PenaltyResult, RegularizerSpec, _divergence_rows, ascent_search, random_search
+from .tensor import RandomRows, RandomSource, log_sum_exp, softmax
 
 
 class SpanModel:
@@ -147,27 +148,30 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     return float(loss), grads
 
 
-def _divergence_grads(model, tr: SpanTrace, gen, delta, want_param_grads=True):
-    """(summed begin+end divergence at features + delta against the clean
-    distributions, flat parameter grads or None, feature grads)."""
-    trn = span_forward(model, tr.inputs + delta)
-    noisy = np.stack((trn.begin_probs, trn.end_probs))
-    values, seed, _ = _divergence_rows(gen, noisy, np.stack((tr.begin_probs, tr.end_probs)))
-    g_sb, g_se = mlp._softmax_vjp(noisy, seed)
-    grads, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads)
-    return float(values.sum()), grads, fg
+def _divergence_grads(model, tr: SpanTrace, gen):
+    """The span head's `divergence_grads`: the summed begin+end divergence at
+    features + delta, delta a one-row batch of flat (T * n_feat) perturbations."""
+    shape = tr.inputs.shape
+    clean = np.stack((tr.begin_probs, tr.end_probs))
+
+    def divergence_grads(delta, want_param_grads=True):
+        trn = span_forward(model, tr.inputs + delta.reshape(shape))
+        noisy = np.stack((trn.begin_probs, trn.end_probs))
+        values, seed, _ = _divergence_rows(gen, noisy, clean)
+        g_sb, g_se = mlp._softmax_vjp(noisy, seed)
+        grads, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads)
+        return values.sum(keepdims=True), grads, fg.reshape(1, -1)
+
+    return divergence_grads
 
 
 def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Summed begin+end divergence penalty under one shared perturbation.
 
-    kind rpt draws the perturbation; kind vat runs normalized gradient
-    ascent on the summed divergence and projects to the norm ball. The
-    perturbation is one (T, n_feat) matrix applied to both terms. It is
-    drawn and searched as one flat row with the classifier penalties' draw
-    kernel and ascent step, so ascent and projection norms treat it as a flat
-    vector. The clean distributions are constants, so through_clean is
-    rejected.
+    kind rpt draws it (`random_search`), kind vat searches it (`ascent_search`)
+    as one flat row, so ascent and projection norms treat the (T, n_feat)
+    matrix as a flat vector. The clean distributions are constants, so
+    through_clean is rejected.
     """
     if spec.kind == "jr":
         raise ValueError("the Jacobian-norm penalty is not defined for span models")
@@ -175,28 +179,14 @@ def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomS
         raise ValueError(f"no span penalty for kind {spec.kind!r}")
     if spec.through_clean:
         raise ValueError("through_clean is not defined for span models")
-    gen = generator(spec.generator_kind)
-    cfg = spec.perturbation
     tr = span_forward(model, features)
-    shape = tr.inputs.shape
-
+    dg = _divergence_grads(model, tr, generator(spec.generator_kind))
+    rows, cfg = RandomRows.of([rng]), spec.perturbation
     if spec.kind == "rpt":
-        scale = 1.0 / cfg.samples_per_example
-        value, acc = 0.0, np.zeros(model.params.size)
-        for s in range(cfg.samples_per_example):
-            eps = gaussian_vec(rng.split(s), tr.inputs.size, cfg.radius).reshape(shape)
-            v, grads, _ = _divergence_grads(model, tr, gen, eps)
-            value += v
-            acc += scale * grads
-        return PenaltyResult(value / cfg.samples_per_example, acc)
-
-    delta = gaussian_vec(rng.split(0), tr.inputs.size, cfg.init_std)
-    for _ in range(cfg.ascent_steps):
-        _, _, asc = _divergence_grads(model, tr, gen, delta.reshape(shape), want_param_grads=False)
-        delta = _ascent_step(delta, asc.reshape(-1), cfg)
-    delta = _project(delta, cfg).reshape(shape)
-    value, grads, _ = _divergence_grads(model, tr, gen, delta)
-    return PenaltyResult(value, grads, delta)
+        values, grads = random_search(dg, rows, tr.inputs.size, cfg)
+        return PenaltyResult(float(values[0]), grads)
+    values, grads, delta = ascent_search(dg, rows, tr.inputs.size, cfg)
+    return PenaltyResult(float(values[0]), grads, delta.reshape(tr.inputs.shape))
 
 
 def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:

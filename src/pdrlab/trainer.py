@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.lr_decay not in LR_DECAY_KINDS:
             raise ValueError(f"lr_decay must be one of {LR_DECAY_KINDS}")
+        if not all(map(math.isfinite, (self.learning_rate, self.beta1, self.beta2, self.adam_eps))):
+            raise ValueError("learning_rate, beta1, beta2 and adam_eps must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 

@@ -180,7 +180,10 @@ def test_train_bad_config_key_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["perturbation.norm = l3", "perturbation.radius = -1",
                                   "regularizer.kind = foo", "regularizer.divergence = XYZ",
                                   "regularizer.through_clean = true",
-                                  "regularizer.kind = jr\nregularizer.through_clean = true"])
+                                  "regularizer.kind = jr\nregularizer.through_clean = true",
+                                  "perturbation.radius = nan", "perturbation.eta = inf",
+                                  "optimizer.learning_rate = nan", "optimizer.beta2 = -inf",
+                                  "regularizer.alpha = nan"])
 def test_train_bad_config_value_is_config_error(tmp_path, capsys, line):
     data = tmp_path / "d.csv"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])

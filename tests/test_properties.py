@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -36,6 +37,13 @@ def test_all_runs_every_suite_in_order():
     for name in SUITE_NAMES:
         concat.extend(r.name for r in run_suite(name, trials=40, seed=2))
     assert [r.name for r in all_results] == concat
+    # Pins every line `verify` would print, so a refactor that claims to keep
+    # them byte-identical is checked here. Like the tensor goldens it holds on
+    # one platform and numpy build; a change that moves it must update it and
+    # list the moved lines in CHANGES.md.
+    text = "".join(f"{r.name} {r.slack!r} {r.detail}\n" for r in all_results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b7a02aa2ed119ea118e952694270743f21cad5744b2f21caf947baba339c0a8c")
 
 
 def test_suites_are_deterministic():

@@ -6,6 +6,9 @@ from pdrlab.divergences import GENERATORS, PROB_FLOOR, f_divergence, generator
 from pdrlab.regularizers import (
     PerturbationConfig,
     RegularizerSpec,
+    _ascent_step,
+    _divergence_rows,
+    _project,
     jr_penalty,
     l2_vs_kl_bound_check,
     penalty_batch,
@@ -17,7 +20,7 @@ from pdrlab.regularizers import (
 )
 from pdrlab.properties import _fd_param_grads as fd_param_grads
 from pdrlab.properties import _grad_rel_err
-from pdrlab.tensor import RandomRows, RandomSource, gaussian_vec
+from pdrlab.tensor import RandomRows, RandomSource, gaussian_rows, gaussian_vec
 
 
 def small_model(seed=1, dims=(3, 5, 3)):
@@ -49,6 +52,10 @@ def test_perturbation_config_validation():
         PerturbationConfig(ascent_steps=-1)
     with pytest.raises(ValueError):
         PerturbationConfig(samples_per_example=0)
+    for field in ("radius", "step_size", "init_std"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PerturbationConfig(**{field: bad})
 
 
 def test_regularizer_spec_validation():
@@ -57,6 +64,8 @@ def test_regularizer_spec_validation():
         RegularizerSpec(kind="dropout")
     with pytest.raises(ValueError):
         RegularizerSpec(kind="rpt", generator_kind="nope")
+    with pytest.raises(ValueError, match="finite"):
+        RegularizerSpec(kind="rpt", alpha=np.nan)
 
 
 @pytest.mark.parametrize("kind", ["none", "jr"])
@@ -255,6 +264,84 @@ def test_vat_batch_matches_single_example():
         single = vat_penalty(m, X[i], spec, rngs[i])
         assert values[i] == pytest.approx(single.value, abs=1e-12)
         assert np.allclose(deltas[i], single.adversarial_direction, atol=1e-12)
+
+
+# ---------------------------------------------------------------- the shared search
+
+def loop_rpt_penalty_batch(model, tr, spec, rows):
+    """rpt with its own draw-and-average loop, as written before the search
+    was shared with the span head."""
+    gen = generator(spec.generator_kind)
+    cfg = spec.perturbation
+    b, n = tr.inputs.shape
+    scale = 1.0 / cfg.samples_per_example
+    acc = np.zeros(model.params.size)
+    values = np.zeros(b)
+    for s in range(cfg.samples_per_example):
+        eps = gaussian_rows(rows.split(s), n, cfg.radius)
+        trn = mlp.forward_batch(model, tr.inputs + eps)
+        vals, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        values += vals
+        grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
+        acc += scale * grads
+        if spec.through_clean:
+            seed_c = gen.g(ratio) - ratio * gen.g_prime(ratio)
+            grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, seed_c)
+            acc += scale * grads_c
+    values /= cfg.samples_per_example
+    return values, acc
+
+
+def loop_vat_penalty_batch(model, tr, spec, rows):
+    """vat with its own ascent loop, which also took the parameter gradient
+    at every ascent step, as written before the search was shared."""
+    gen = generator(spec.generator_kind)
+    cfg = spec.perturbation
+    n = tr.inputs.shape[1]
+    delta = gaussian_rows(rows.split(0), n, cfg.init_std)
+    for _ in range(cfg.ascent_steps):
+        trn = mlp.forward_batch(model, tr.inputs + delta)
+        _, seed, _ = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        _, asc = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
+        delta = _ascent_step(delta, asc, cfg)
+    delta = _project(delta, cfg)
+    trn = mlp.forward_batch(model, tr.inputs + delta)
+    values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+    grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
+    if spec.through_clean:
+        seed_c = gen.g(ratio) - ratio * gen.g_prime(ratio)
+        grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, seed_c)
+        grads = grads + grads_c
+    return values, grads, delta
+
+
+@pytest.mark.parametrize("through_clean", [False, True])
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("steps", [0, 1, 3])
+@pytest.mark.parametrize("norm_kind", ["l2", "linf"])
+@pytest.mark.parametrize("gen_kind", ["KL", "JSD"])
+@pytest.mark.parametrize("kind", ["rpt", "vat"])
+def test_shared_search_matches_the_loops_it_replaced(kind, gen_kind, norm_kind, steps, samples,
+                                                     through_clean):
+    m = small_model(67, dims=(3, 6, 4))
+    X = RandomSource(68).generator().standard_normal((5, 3))
+    tr = mlp.forward_batch(m, X)
+    rows = RandomRows.of([RandomSource(69).split(i) for i in range(5)])
+    cfg = PerturbationConfig(radius=0.3, norm_kind=norm_kind, ascent_steps=steps, step_size=0.05,
+                             samples_per_example=samples)
+    spec = RegularizerSpec(kind=kind, generator_kind=gen_kind, perturbation=cfg,
+                           through_clean=through_clean)
+    if kind == "rpt":
+        got, want = rpt_penalty_batch(m, tr, spec, rows), loop_rpt_penalty_batch(m, tr, spec, rows)
+    else:
+        got, want = vat_penalty_batch(m, tr, spec, rows), loop_vat_penalty_batch(m, tr, spec, rows)
+        assert np.array_equal(got[2], want[2])
+    assert np.array_equal(got[0], want[0])
+    if kind == "rpt" and through_clean and samples > 1:
+        # scale * (g + g_c) against scale * g + scale * g_c: a last-bit move
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-15 * np.max(np.abs(want[1]))
+    else:
+        assert np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------- dispatch and bounds

@@ -5,7 +5,7 @@ import pytest
 
 from pdrlab import model as mlp
 from pdrlab.divergences import GENERATORS, PROB_FLOOR, generator
-from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
+from pdrlab.regularizers import PerturbationConfig, RegularizerSpec, _ascent_step, _divergence_rows, _project
 from pdrlab.properties import _fd_param_grads as fd_span_grads
 from pdrlab.properties import _grad_rel_err
 from pdrlab.spans import (
@@ -172,24 +172,30 @@ def test_loss_step_decreases_loss():
 def test_rpt_penalty_matches_manual_draw():
     m = small_span_model(19)
     f = random_features(20, t=4)
-    spec = RegularizerSpec(kind="rpt", generator_kind="KL",
-                           perturbation=PerturbationConfig(radius=0.1))
-    rng = RandomSource(21)
-    res = span_penalty(m, f, spec, rng)
-    eps = replayed_draw(rng.split(0), f.shape, 0.1)
     pb0, pe0 = span_distributions(m, f)
-    assert res.value == pytest.approx(frozen_pair_divergence(m, f, eps, pb0, pe0, "KL"), abs=1e-12)
-    assert res.value >= -1e-12
+    for samples in (1, 3):  # the penalty is the mean over draws replayed from rng.split(s)
+        spec = RegularizerSpec(kind="rpt", generator_kind="KL",
+                               perturbation=PerturbationConfig(radius=0.1, samples_per_example=samples))
+        rng = RandomSource(21)
+        res = span_penalty(m, f, spec, rng)
+        want = np.mean([frozen_pair_divergence(m, f, replayed_draw(rng.split(s), f.shape, 0.1), pb0, pe0, "KL")
+                        for s in range(samples)])
+        assert res.value == pytest.approx(want, abs=1e-12)
+        assert res.value >= -1e-12
 
 
 def test_vat_penalty_direction_has_flat_l2_radius():
     m = small_span_model(23)
     f = random_features(24, t=5)
-    spec = RegularizerSpec(kind="vat",
-                           perturbation=PerturbationConfig(radius=0.2, ascent_steps=2, step_size=0.02))
-    res = span_penalty(m, f, spec, RandomSource(25))
-    assert res.adversarial_direction.shape == f.shape
-    assert np.sqrt(np.sum(res.adversarial_direction ** 2)) == pytest.approx(0.2, abs=1e-12)
+    for norm_kind, step_size in (("l2", 0.02), ("linf", 0.5)):
+        spec = RegularizerSpec(kind="vat", perturbation=PerturbationConfig(
+            radius=0.2, norm_kind=norm_kind, ascent_steps=2, step_size=step_size))
+        res = span_penalty(m, f, spec, RandomSource(25))
+        assert res.adversarial_direction.shape == f.shape
+        if norm_kind == "l2":
+            assert np.sqrt(np.sum(res.adversarial_direction ** 2)) == pytest.approx(0.2, abs=1e-12)
+        else:  # the projection is a clip, so some entries sit on the bound and none beyond
+            assert np.max(np.abs(res.adversarial_direction)) == 0.2
 
 
 def test_vat_zero_steps_is_projected_draw():
@@ -202,6 +208,61 @@ def test_vat_zero_steps_is_projected_draw():
     raw = replayed_draw(rng.split(0), f.shape, 1e-5)
     want = 0.15 * raw / np.sqrt(np.sum(raw * raw))
     assert np.allclose(res.adversarial_direction, want, atol=1e-15)
+
+
+def loop_span_penalty(model, features, spec, rng):
+    """The span penalty with its own draw and ascent loops, as written before
+    it shared the classifier penalties' search."""
+    gen = generator(spec.generator_kind)
+    cfg = spec.perturbation
+    tr = span_forward(model, features)
+    shape = tr.inputs.shape
+
+    def divergence_grads(delta, want_param_grads=True):
+        trn = span_forward(model, tr.inputs + delta)
+        noisy = np.stack((trn.begin_probs, trn.end_probs))
+        values, seed, _ = _divergence_rows(gen, noisy, np.stack((tr.begin_probs, tr.end_probs)))
+        g_sb, g_se = mlp._softmax_vjp(noisy, seed)
+        grads, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads)
+        return float(values.sum()), grads, fg
+
+    if spec.kind == "rpt":
+        scale = 1.0 / cfg.samples_per_example
+        value, acc = 0.0, np.zeros(model.params.size)
+        for s in range(cfg.samples_per_example):
+            eps = gaussian_vec(rng.split(s), tr.inputs.size, cfg.radius).reshape(shape)
+            v, grads, _ = divergence_grads(eps)
+            value += v
+            acc += scale * grads
+        return value / cfg.samples_per_example, acc, None
+    delta = gaussian_vec(rng.split(0), tr.inputs.size, cfg.init_std)
+    for _ in range(cfg.ascent_steps):
+        _, _, asc = divergence_grads(delta.reshape(shape), want_param_grads=False)
+        delta = _ascent_step(delta, asc.reshape(-1), cfg)
+    delta = _project(delta, cfg).reshape(shape)
+    value, grads, _ = divergence_grads(delta)
+    return value, grads, delta
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("steps", [0, 1, 3])
+@pytest.mark.parametrize("norm_kind", ["l2", "linf"])
+@pytest.mark.parametrize("gen_kind", ["KL", "JSD"])
+@pytest.mark.parametrize("kind", ["rpt", "vat"])
+def test_shared_search_matches_the_span_loops_it_replaced(kind, gen_kind, norm_kind, steps, samples):
+    m = small_span_model(31)
+    f = random_features(32, t=5)
+    cfg = PerturbationConfig(radius=0.3, norm_kind=norm_kind, ascent_steps=steps, step_size=0.05,
+                             samples_per_example=samples)
+    spec = RegularizerSpec(kind=kind, generator_kind=gen_kind, perturbation=cfg)
+    res = span_penalty(m, f, spec, RandomSource(33))
+    value, grads, delta = loop_span_penalty(m, f, spec, RandomSource(33))
+    assert res.value == value
+    assert np.array_equal(res.param_grads, grads)
+    if kind == "vat":
+        assert np.array_equal(res.adversarial_direction, delta)
+    else:
+        assert res.adversarial_direction is None
 
 
 def test_jr_kind_is_rejected_for_spans():

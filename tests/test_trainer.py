@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=8, seed=1, lr_decay="cosine")
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=8, seed=1, learning_rate=0.0)
+    for field in ("learning_rate", "beta1", "beta2", "adam_eps"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrainConfig(epochs=1, batch_size=8, seed=1, **{field: bad})
 
 
 def test_init_model_for_sizes_from_dataset():
