@@ -17,7 +17,7 @@ from . import data as dt
 from . import model as mlp
 from . import properties as props
 from . import trainer as tr
-from .divergences import GENERATOR_KINDS, f_divergence, generator
+from .divergences import GENERATOR_KINDS, PROB_FLOOR, f_divergence, generator
 from .regularizers import NORM_KINDS, PENALTY_KINDS, PerturbationConfig, RegularizerSpec
 
 
@@ -185,25 +185,24 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError("--n must be positive")
     if not 0.0 <= args.labeled_fraction <= 1.0:
         raise ConfigError("--labeled-fraction must lie in [0, 1]")
-    if args.family == "bias-pair":
-        if not (args.train_out and args.eval_out):
-            raise ConfigError("bias-pair needs --train-out and --eval-out")
-        train, eval_ds = dt.make_spurious_pair(args.n, args.core_noise, args.seed)
-        train = _post_gen(train, args)
-        dt.write_csv(train, args.train_out)
-        dt.write_csv(eval_ds, args.eval_out)
-        print(f"wrote {train.n_examples} examples to {args.train_out}")
-        print(f"wrote {eval_ds.n_examples} examples to {args.eval_out}")
-        return 0
-    if not args.out:
+    if args.family == "bias-pair" and not (args.train_out and args.eval_out):
+        raise ConfigError("bias-pair needs --train-out and --eval-out")
+    if args.family != "bias-pair" and not args.out:
         raise ConfigError(f"{args.family} needs --out")
-    if args.family == "two-moons":
-        ds = dt.make_two_moons(args.n, args.noise, args.seed)
-    else:
-        ds = dt.make_gaussian_mixture(args.n, args.classes, args.dim, args.separation, args.seed)
-    ds = _post_gen(ds, args)
-    dt.write_csv(ds, args.out)
-    print(f"wrote {ds.n_examples} examples to {args.out}")
+    try:  # the dataset functions reject a bad flag value with a ValueError
+        if args.family == "bias-pair":
+            train, eval_ds = dt.make_spurious_pair(args.n, args.core_noise, args.seed)
+            outputs = [(_post_gen(train, args), args.train_out), (eval_ds, args.eval_out)]
+        elif args.family == "two-moons":
+            outputs = [(_post_gen(dt.make_two_moons(args.n, args.noise, args.seed), args), args.out)]
+        else:
+            ds = dt.make_gaussian_mixture(args.n, args.classes, args.dim, args.separation, args.seed)
+            outputs = [(_post_gen(ds, args), args.out)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    for ds, path in outputs:
+        dt.write_csv(ds, path)
+        print(f"wrote {ds.n_examples} examples to {path}")
     return 0
 
 
@@ -285,8 +284,12 @@ def _cmd_divergence(args) -> int:
     q = _parse_distribution(args.q, "--q")
     if p.size != q.size:
         raise ConfigError(f"--p has {p.size} entries but --q has {q.size}")
+    ref = "--q"
     if args.swap:
-        p, q = q, p
+        p, q, ref = q, p, "--p"
+    # each term is weighted by the reference, so one where it is floored would drop out
+    if np.any(q < PROB_FLOOR):
+        raise ConfigError(f"{ref} is the reference: its entries must be at least {PROB_FLOOR:g}")
     print(f"{f_divergence(gen, p, q):.12g}")
     return 0
 

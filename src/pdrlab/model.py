@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RandomSource, log_sum_exp, softmax
+from .tensor import RandomSource, as_mat, log_sum_exp, softmax
 
 MODEL_FORMAT_VERSION = 1
 
@@ -35,21 +35,8 @@ class MlpModel:
     __slots__ = ("layer_dims", "params", "weights", "biases")
 
     def __init__(self, layer_dims, params):
-        dims = tuple(map(int, layer_dims))
-        if len(dims) < 2:
-            raise ValueError("layer_dims needs at least input and output sizes")
-        if min(dims) < 1:
-            raise ValueError(f"layer_dims must be positive, got {dims}")
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != (n_params(dims),):
-            raise ValueError(f"params must have shape ({n_params(dims)},) for layer_dims {dims}, "
-                             f"got {params.shape}")
-        if not np.isfinite(params).all():
-            raise ValueError("parameters have non-finite entries")
-        params.setflags(write=False)
-        self.layer_dims = dims
-        self.params = params
-        self.weights, self.biases = unflatten(dims, params)
+        self.layer_dims, self.params = _checked_params("layer_dims", layer_dims, params)
+        self.weights, self.biases = unflatten(self.layer_dims, self.params)
 
     @property
     def n_inputs(self) -> int:
@@ -89,6 +76,26 @@ def unflatten(layer_dims, flat):
     return tuple(weights), tuple(biases)
 
 
+def _checked_params(name, dims, params, head_rows=0):
+    """(dims as ints, params as a read-only float64 vector) once dims holds at
+    least two sizes, all positive, and params holds n_params(dims) finite
+    entries followed by head_rows vectors of the last size.
+    """
+    dims = tuple(map(int, dims))
+    if len(dims) < 2:
+        raise ValueError(f"{name} needs at least two sizes, got {dims}")
+    if min(dims) < 1:
+        raise ValueError(f"{name} must be positive, got {dims}")
+    params = np.asarray(params, dtype=np.float64)
+    size = n_params(dims) + head_rows * dims[-1]
+    if params.shape != (size,):
+        raise ValueError(f"params must have shape ({size},) for {name} {dims}, got {params.shape}")
+    if not np.isfinite(params).all():
+        raise ValueError("parameters have non-finite entries")
+    params.setflags(write=False)
+    return dims, params
+
+
 def pack_params(layer_dims, weights, biases) -> np.ndarray:
     """The flat parameter vector [W0, b0, W1, b1, ...] from per-layer arrays."""
     dims = tuple(int(d) for d in layer_dims)
@@ -126,11 +133,9 @@ def init_mlp(layer_dims, rng: RandomSource) -> MlpModel:
 
 
 def _check_batch_inputs(model: MlpModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
+    X = as_mat(X, "input matrix")
+    if X.shape[1] != model.n_inputs:
         raise ValueError(f"inputs must have shape (B, {model.n_inputs}), got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("inputs have non-finite entries")
     return X
 
 

@@ -616,23 +616,20 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         feats = g.standard_normal((t, model.n_features))
         joint_dev = _max_or_nan(joint_dev, abs(float(sp.joint_span_table(model, feats).sum()) - 1.0))
         perm = g.permutation(t)
-        pb, pe = sp.span_distributions(model, feats)
-        pb2, pe2 = sp.span_distributions(model, feats[perm])
-        perm_dev = _max_or_nan(perm_dev, float(np.max(np.abs(pb2 - pb[perm]))),
-                       float(np.max(np.abs(pe2 - pe[perm]))))
+        probs = sp.span_distributions(model, feats)
+        perm_dev = _max_or_nan(perm_dev, float(np.max(np.abs(sp.span_distributions(model, feats[perm])
+                                                              - probs[:, perm]))))
     out.append(PropertyResult("joint_span_table_normalizes", 1e-12 - joint_dev,
                               f"max |sum - 1| = {joint_dev:.3e}"))
     out.append(PropertyResult("position_permutation_equivariance", 1e-12 - perm_dev,
                               f"max deviation = {perm_dev:.3e}"))
 
     model = _random_span_model(rng.split(41))
-    zero = sp.make_span_model(model.encoder, np.zeros_like(model.w_begin),
-                              np.zeros_like(model.w_end))
+    zero = sp.make_span_model(model.encoder, np.zeros_like(model.scorers))
     g = rng.split(41, 1).generator()
     t = 6
     feats = g.standard_normal((t, model.n_features))
-    pb, pe = sp.span_distributions(zero, feats)
-    unif_dev = _max_or_nan(float(np.max(np.abs(pb - 1.0 / t))), float(np.max(np.abs(pe - 1.0 / t))))
+    unif_dev = float(np.max(np.abs(sp.span_distributions(zero, feats) - 1.0 / t)))
     loss, _ = sp.span_loss(zero, feats, 2, 4)
     loss_dev = abs(loss - 2.0 * math.log(t))
     out.append(PropertyResult("zero_scorers_give_uniform", 1e-12 - _max_or_nan(unif_dev, loss_dev),
@@ -650,10 +647,8 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         eps = gaussian_vec(src.split(0), feats.size, 0.3).reshape(feats.shape)
         tr = sp.span_forward(model, feats)
         trn = sp.span_forward(model, feats + eps)
-        gen = GENERATORS["JSD"]
-        begin_term = f_divergence(gen, trn.begin_probs, tr.begin_probs)
-        end_term = f_divergence(gen, trn.end_probs, tr.end_probs)
-        add_dev = _max_or_nan(add_dev, abs(res.value - (begin_term + end_term)))
+        terms = f_divergence(GENERATORS["JSD"], trn.probs, tr.probs)  # begin, end
+        add_dev = _max_or_nan(add_dev, abs(res.value - float(np.sum(terms))))
     out.append(PropertyResult("penalty_adds_begin_and_end_terms", 1e-12 - add_dev,
                               f"max deviation = {add_dev:.3e}"))
 
@@ -677,8 +672,7 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
 
             def divergence_at(tt):
                 trn = sp.span_forward(model, feats + tt * eps)
-                return (f_divergence(gen, trn.begin_probs, tr.begin_probs)
-                        + f_divergence(gen, trn.end_probs, tr.end_probs))
+                return float(np.sum(f_divergence(gen, trn.probs, tr.probs)))
 
             drift, law, ratio = _decade_law(divergence_at, q)
             drift_slack = _min_or_nan(drift_slack, drift)
@@ -704,13 +698,12 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
                                perturbation=PerturbationConfig(radius=0.3, ascent_steps=1))
         src = rng.split(44, i, 2)
         res = sp.span_penalty(model, feats, spec, src)
-        p_clean = np.stack(sp.span_distributions(model, feats))  # begin row, end row
+        p_clean = sp.span_distributions(model, feats)
         delta = res.adversarial_direction
 
         def frozen(mm):
             trn = sp.span_forward(mm, feats + delta)
-            noisy = np.stack((trn.begin_probs, trn.end_probs))
-            return float(np.sum(f_divergence(GENERATORS["KL"], noisy, p_clean)))
+            return float(np.sum(f_divergence(GENERATORS["KL"], trn.probs, p_clean)))
 
         pen_err = _max_or_nan(pen_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
     out.append(PropertyResult("span_loss_grads_match_fd", 1e-4 - loss_err,

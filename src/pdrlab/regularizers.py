@@ -66,8 +66,8 @@ class RegularizerSpec:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
         if self.through_clean and self.kind not in ("rpt", "vat"):
             raise ValueError(f"through_clean is defined only for rpt and vat, not {self.kind!r}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         generator(self.generator_kind)  # validates the name
 
 
@@ -192,6 +192,14 @@ def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows):
     raise ValueError(f"no penalty for kind {spec.kind!r}")
 
 
+def _quadratic_form(gen: Generator, p, dz) -> float:
+    """(g''(1)/2) sum over rows of (J dz)^T diag(1/p) (J dz), J the softmax
+    Jacobian at a row of p and dz that row's logit tangent; p is floored
+    before inverting. Each row is summed before the rows are added."""
+    jdz = mlp._softmax_vjp(p, dz)  # the softmax Jacobian is symmetric
+    return float(0.5 * gen.curvature_at_one * np.sum(np.sum(jdz * jdz / np.maximum(p, PROB_FLOOR), axis=-1)))
+
+
 def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     """Small-noise quadratic form: (g''(1)/2) eps^T J^T diag(1/f) J eps.
 
@@ -201,10 +209,8 @@ def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     forward-mode tangent pass.
     """
     tr = mlp.forward(model, x)
-    p = tr.posteriors[0]
     _, dz = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64)[None, :])
-    jeps = mlp._softmax_vjp(p, dz[0])  # the softmax Jacobian is symmetric
-    return float(0.5 * gen.curvature_at_one * np.sum(jeps * jeps / np.maximum(p, PROB_FLOOR)))
+    return _quadratic_form(gen, tr.posteriors, dz)
 
 
 @dataclass(frozen=True)

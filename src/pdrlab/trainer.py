@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("learning_rate, beta1, beta2 and adam_eps must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.adam_eps > 0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1) and adam_eps must be positive")
 
 
 @dataclass(frozen=True)

@@ -201,8 +201,8 @@ def test_criterion_04_gradient_paths_match_finite_differences():
 
             def frozen_span(mm):
                 trn = sp.span_forward(mm, feats + delta)
-                rb = np.maximum(trn.begin_probs, PROB_FLOOR) / np.maximum(p_b, PROB_FLOOR)
-                re = np.maximum(trn.end_probs, PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
+                rb = np.maximum(trn.probs[0], PROB_FLOOR) / np.maximum(p_b, PROB_FLOOR)
+                re = np.maximum(trn.probs[1], PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
                 return float(np.sum(p_b * gen.g(rb)) + np.sum(p_e * gen.g(re)))
 
             fd = props._fd_param_grads(frozen_span, model)
@@ -432,15 +432,15 @@ def test_criterion_10_span_joint_and_decade_law():
             ratios = []
             for tt in (1e-2, 1e-3, 1e-4):
                 trn = sp.span_forward(model, feats + tt * eps)
-                d = (f_divergence(gen, trn.begin_probs, tr.begin_probs)
-                     + f_divergence(gen, trn.end_probs, tr.end_probs))
+                d = (f_divergence(gen, trn.probs[0], tr.probs[0])
+                     + f_divergence(gen, trn.probs[1], tr.probs[1]))
                 ratios.append(abs(d - tt * tt * q) / tt ** 3)
             floor = 1e-3 * max(1.0, q)
             drift_slack = min(drift_slack, 5.0 * max(ratios[0], ratios[1]) + floor - ratios[2])
             tt = 1e-4
             trn = sp.span_forward(model, feats + tt * eps)
-            d = (f_divergence(gen, trn.begin_probs, tr.begin_probs)
-                 + f_divergence(gen, trn.end_probs, tr.end_probs))
+            d = (f_divergence(gen, trn.probs[0], tr.probs[0])
+                 + f_divergence(gen, trn.probs[1], tr.probs[1]))
             law_slack = min(law_slack, 1e-3 * max(q, 1e-9) - abs(d / tt / tt - q))
     elapsed = time.time() - t0
     ok = joint_dev <= 1e-12 and law_slack >= 0 and drift_slack >= 0 and elapsed < 60.0

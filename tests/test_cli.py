@@ -86,6 +86,11 @@ def test_gen_data_shift_round_trips_through_csv(tmp_path):
 def test_gen_data_bad_n(capsys):
     assert run_main(["gen-data", "two-moons", "--n", "0", "--out", "x.csv"]) == 1
     capsys.readouterr()
+    for flags in (["two-moons", "--noise", "-1"], ["gaussian-mixture", "--classes", "1"],
+                  ["two-moons", "--shift-scale", "0"],
+                  ["gaussian-mixture", "--classes", "5", "--dim", "2"]):
+        assert run_main(["gen-data", *flags, "--out", "x.csv"]) == 1
+        assert "pdrlab: config error" in capsys.readouterr().err
 
 
 def test_gen_data_unknown_family_is_usage_error(capsys):
@@ -183,7 +188,9 @@ def test_train_bad_config_key_is_config_error(tmp_path, capsys):
                                   "regularizer.kind = jr\nregularizer.through_clean = true",
                                   "perturbation.radius = nan", "perturbation.eta = inf",
                                   "optimizer.learning_rate = nan", "optimizer.beta2 = -inf",
-                                  "regularizer.alpha = nan"])
+                                  "regularizer.alpha = nan", "optimizer.beta1 = 1",
+                                  "optimizer.beta2 = 1.5", "optimizer.eps = 0",
+                                  "regularizer.alpha = -5"])
 def test_train_bad_config_value_is_config_error(tmp_path, capsys, line):
     data = tmp_path / "d.csv"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
@@ -259,6 +266,7 @@ def test_every_config_key_sets_its_field():
     (["divergence", "--kind", "KL", "--p", "0.5,0.5", "--q", "0.25,0.75", "--swap"], "0.130812035941"),
     (["divergence", "--kind", "SHL", "--p", "0.5,0.5", "--q", "0.25,0.75"], "0.0681483474219"),
     (["divergence", "--kind", "JSD", "--p", "0.5,0.5", "--q", "0.5,0.5"], "0"),
+    (["divergence", "--kind", "KL", "--p", "1,0", "--q", "0.5,0.5"], "0.693147180533"),
 ])
 def test_divergence_frozen_outputs(argv, want, capsys):
     assert run_main(argv) == 0
@@ -284,6 +292,8 @@ def test_divergence_normalizes_tiny_drift(capsys):
     ["divergence", "--p", "0.5,0.5", "--q", "0.2,0.3,0.5"],    # length mismatch
     ["divergence", "--kind", "XYZ", "--p", "0.5,0.5", "--q", "0.5,0.5"],
     ["divergence", "--p=-0.5,1.5", "--q", "0.5,0.5"],          # negative entry
+    ["divergence", "--kind", "KL", "--p", "0.5,0.5", "--q", "1,0"],   # reference has a zero
+    ["divergence", "--p", "1,0", "--q", "0.5,0.5", "--swap"],         # --p is the reference
 ])
 def test_divergence_bad_inputs_exit_one(argv, capsys):
     assert run_main(argv) == 1

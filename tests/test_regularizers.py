@@ -66,6 +66,9 @@ def test_regularizer_spec_validation():
         RegularizerSpec(kind="rpt", generator_kind="nope")
     with pytest.raises(ValueError, match="finite"):
         RegularizerSpec(kind="rpt", alpha=np.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RegularizerSpec(kind="vat", alpha=-5.0)
+    RegularizerSpec(kind="vat", alpha=0.0)
 
 
 @pytest.mark.parametrize("kind", ["none", "jr"])

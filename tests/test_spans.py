@@ -58,7 +58,7 @@ def assert_span_grads_close(grads, fd, tol=1e-4):
 def test_init_is_deterministic():
     a = small_span_model(4)
     b = small_span_model(4)
-    assert np.array_equal(a.w_begin, b.w_begin)
+    assert np.array_equal(a.scorers[0], b.scorers[0])
     assert np.array_equal(a.params, b.params)
 
 
@@ -66,9 +66,9 @@ def test_params_are_encoder_then_scorers():
     m = small_span_model(3, dims=(3, 5, 4))
     n_enc = m.encoder.params.size
     assert np.array_equal(m.params[:n_enc], m.encoder.params)
-    assert np.array_equal(m.params[n_enc:], np.concatenate([m.w_begin, m.w_end]))
+    assert np.array_equal(m.params[n_enc:], m.scorers.ravel())
     with pytest.raises(ValueError):
-        m.w_end[0] = 1.0
+        m.scorers[1, 0] = 1.0
     with pytest.raises(ValueError):
         SpanModel(m.enc_dims, m.params[:-1])
 
@@ -77,7 +77,7 @@ def test_params_are_encoder_then_scorers():
 @pytest.mark.parametrize("where", ["w_begin", "w_end", "encoder"])
 def test_non_finite_parameters_are_rejected_at_construction(bad, where):
     m = small_span_model(3)
-    n_enc, d = m.encoder.params.size, m.w_begin.size
+    n_enc, d = m.encoder.params.size, m.scorers.shape[1]
     params = m.params.copy()
     params[{"encoder": 0, "w_begin": n_enc, "w_end": n_enc + 2 * d - 1}[where]] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -127,7 +127,7 @@ def test_feature_validation():
 
 def test_zero_scorers_give_uniform_loss():
     m = small_span_model(9)
-    m = make_span_model(m.encoder, np.zeros_like(m.w_begin), np.zeros_like(m.w_end))
+    m = make_span_model(m.encoder, np.zeros_like(m.scorers))
     t = 6
     loss, _ = span_loss(m, random_features(10, t=t), 2, 4)
     assert loss == pytest.approx(2.0 * math.log(t), abs=1e-12)
@@ -220,10 +220,8 @@ def loop_span_penalty(model, features, spec, rng):
 
     def divergence_grads(delta, want_param_grads=True):
         trn = span_forward(model, tr.inputs + delta)
-        noisy = np.stack((trn.begin_probs, trn.end_probs))
-        values, seed, _ = _divergence_rows(gen, noisy, np.stack((tr.begin_probs, tr.end_probs)))
-        g_sb, g_se = mlp._softmax_vjp(noisy, seed)
-        grads, fg = _scores_backward(model, trn, g_sb, g_se, want_param_grads)
+        values, seed, _ = _divergence_rows(gen, trn.probs, tr.probs)
+        grads, fg = _scores_backward(model, trn, mlp._softmax_vjp(trn.probs, seed), want_param_grads)
         return float(values.sum()), grads, fg
 
     if spec.kind == "rpt":
@@ -316,16 +314,14 @@ def vjp_quadratic_penalty(model, features, gen, eps):
     t = tr.inputs.shape[0]
     eps_flat = np.asarray(eps, dtype=np.float64).reshape(-1)
     total = 0.0
-    for probs, which in ((tr.begin_probs, "b"), (tr.end_probs, "e")):
+    for k, probs in enumerate(tr.probs):
         jeps = np.empty(t)
         for i in range(t):
             seed = np.zeros(t)
             seed[i] = 1.0
-            g_s = mlp._softmax_vjp(probs, seed)
-            if which == "b":
-                _, fg = _scores_backward(model, tr, g_s, np.zeros(t), want_param_grads=False)
-            else:
-                _, fg = _scores_backward(model, tr, np.zeros(t), g_s, want_param_grads=False)
+            g_scores = np.zeros((2, t))
+            g_scores[k] = mlp._softmax_vjp(probs, seed)
+            _, fg = _scores_backward(model, tr, g_scores, want_param_grads=False)
             jeps[i] = fg.reshape(-1) @ eps_flat
         total += np.sum(jeps * jeps / np.maximum(probs, PROB_FLOOR))
     return float(0.5 * gen.curvature_at_one * total)
@@ -347,5 +343,5 @@ def test_apply_span_update_moves_parameters():
     m = small_span_model(39)
     _, grads = span_loss(m, random_features(40, t=4), 0, 1)
     m2 = apply_span_update(m, grads, 0.1)
-    assert not np.array_equal(m2.w_begin, m.w_begin)
+    assert not np.array_equal(m2.scorers[0], m.scorers[0])
     assert np.allclose(m2.params, m.params - 0.1 * grads, atol=1e-15)

@@ -45,6 +45,11 @@ def test_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 TrainConfig(epochs=1, batch_size=8, seed=1, **{field: bad})
+    for field, bad in (("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", -1e-3),
+                       ("adam_eps", 0.0), ("adam_eps", -1e-8)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(epochs=1, batch_size=8, seed=1, **{field: bad})
+    TrainConfig(epochs=1, batch_size=8, seed=1, beta1=0.0, beta2=0.0)
 
 
 def test_init_model_for_sizes_from_dataset():
