@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -181,10 +182,23 @@ def build_train_config(cfg: dict, seed_override=None) -> tr.TrainConfig:
 # ---------------------------------------------------------------- commands
 
 def _cmd_gen_data(args) -> int:
-    if args.n <= 0:
-        raise ConfigError("--n must be positive")
-    if not 0.0 <= args.labeled_fraction <= 1.0:
-        raise ConfigError("--labeled-fraction must lie in [0, 1]")
+    moons, mixture, pair = (args.family == f for f in ("two-moons", "gaussian-mixture", "bias-pair"))
+    min_dim = max(1, args.classes - 1)  # the equidistant means span classes - 1 dims
+    shifted = args.shift_angle != 0.0 or args.shift_scale != 1.0
+    rules = (  # (flag, value, ok, rule); NaN fails every comparison, so it fails every rule
+        ("--n", args.n, args.n > 0, "be positive"),
+        ("--labeled-fraction", args.labeled_fraction, 0.0 <= args.labeled_fraction <= 1.0, "lie in [0, 1]"),
+        ("--shift-angle", args.shift_angle, math.isfinite(args.shift_angle), "be finite"),
+        ("--shift-scale", args.shift_scale, 0.0 < args.shift_scale < math.inf, "be finite and positive"),
+        ("--noise", args.noise, not moons or 0.0 <= args.noise < math.inf, "be finite and >= 0"),
+        ("--core-noise", args.core_noise, not pair or 0.0 <= args.core_noise < math.inf, "be finite and >= 0"),
+        ("--classes", args.classes, not mixture or args.classes >= 2, "be >= 2"),
+        ("--dim", args.dim, not mixture or args.dim >= min_dim, f"be >= {min_dim} for {args.classes} classes"),
+        ("--dim", args.dim, not mixture or args.dim >= 2 or not shifted, "be >= 2 for a domain shift"),
+        ("--separation", args.separation, not mixture or 0.0 <= args.separation < math.inf, "be finite and >= 0"))
+    for flag, value, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"{flag} must {rule}, got {value}")
     if args.family == "bias-pair" and not (args.train_out and args.eval_out):
         raise ConfigError("bias-pair needs --train-out and --eval-out")
     if args.family != "bias-pair" and not args.out:
@@ -207,7 +221,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _post_gen(ds: dt.Dataset, args) -> dt.Dataset:
-    if args.shift_angle != 0.0 or args.shift_scale != 1.0:
+    if args.shift_angle != 0.0 or args.shift_scale != 1.0:  # as `shifted` in _cmd_gen_data
         shift_seed = args.seed + 1 if args.shift_seed is None else args.shift_seed
         ds = dt.apply_domain_shift(ds, args.shift_angle, args.shift_scale, shift_seed)
     if args.labeled_fraction < 1.0:

@@ -74,8 +74,8 @@ def make_two_moons(n: int, noise_std: float, seed: int) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
+    if not 0 <= noise_std < np.inf:  # also catches NaN
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     features, labels = _moon_arcs(n)
     if noise_std > 0:
         rng = RandomSource(seed).split(1)
@@ -155,6 +155,8 @@ def make_spurious_pair(n: int, core_noise: float, seed: int):
     perfectly inverted at eval time; marginal feature ranges match, so the
     sets are indistinguishable without reading the correlation.
     """
+    if not 0 <= core_noise < np.inf:  # also catches NaN
+        raise ValueError(f"core_noise must be finite and >= 0, got {core_noise}")
     base = RandomSource(seed)
     out = []
     for split_id, sign in (("train", 1.0), ("adversarial_eval", -1.0)):

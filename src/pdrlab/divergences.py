@@ -143,10 +143,7 @@ def l2_distance(p, q):
 
 def kl_divergence(p, q):
     """Plain KL(p || q) = sum_i p_i log(p_i / q_i) with the same flooring rule."""
-    p = check_simplex(p, "first distribution")
-    q = check_simplex(q, "second distribution")
-    if p.shape != q.shape:
-        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
+    p, q = _checked_pair(p, q)
     val = np.sum(p * np.log(_ratio(p, q)), axis=-1)
     return float(val) if val.ndim == 0 else val
 

@@ -77,7 +77,7 @@ def unflatten(layer_dims, flat):
 
 
 def _checked_params(name, dims, params, head_rows=0):
-    """(dims as ints, params as a read-only float64 vector) once dims holds at
+    """(dims as ints, params as a read-only float64 copy) once dims holds at
     least two sizes, all positive, and params holds n_params(dims) finite
     entries followed by head_rows vectors of the last size.
     """
@@ -86,7 +86,7 @@ def _checked_params(name, dims, params, head_rows=0):
         raise ValueError(f"{name} needs at least two sizes, got {dims}")
     if min(dims) < 1:
         raise ValueError(f"{name} must be positive, got {dims}")
-    params = np.asarray(params, dtype=np.float64)
+    params = np.array(params, dtype=np.float64)  # the caller's array stays writable
     size = n_params(dims) + head_rows * dims[-1]
     if params.shape != (size,):
         raise ValueError(f"params must have shape ({size},) for {name} {dims}, got {params.shape}")

@@ -9,8 +9,6 @@ threshold), so a NaN slack fails. The suites are deterministic in
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,26 +72,14 @@ def _min_or_nan(*values: float) -> float:
 
 
 def worker_count() -> int:
-    """Worker cap from PDR_LAB_THREADS; 0, unset or blank means auto."""
-    raw = os.environ.get("PDR_LAB_THREADS", "").strip() or "0"
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValueError(f"PDR_LAB_THREADS must be an integer, got {raw!r}") from None
-    if v < 0:
-        raise ValueError(f"PDR_LAB_THREADS must be >= 0, got {v}")
-    if v == 0:
-        return min(4, os.cpu_count() or 1)
-    return v
+    """1: trials run on the calling thread. A trial's cost is Python call overhead
+    under the GIL, so a thread pool made verify no faster. bench/run.py records it."""
+    return 1
 
 
 def map_indexed(fn, n: int):
-    """fn(i) for i in range(n), results in index order, optionally threaded."""
-    workers = worker_count()
-    if workers <= 1 or n < 32:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+    """fn(i) for i in range(n), in index order (bench/workloads.py traces it)."""
+    return [fn(i) for i in range(n)]
 
 
 def _simplex_pairs(rng: RandomSource, n: int, m: int, scale: float):

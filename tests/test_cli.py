@@ -88,9 +88,18 @@ def test_gen_data_bad_n(capsys):
     capsys.readouterr()
     for flags in (["two-moons", "--noise", "-1"], ["gaussian-mixture", "--classes", "1"],
                   ["two-moons", "--shift-scale", "0"],
-                  ["gaussian-mixture", "--classes", "5", "--dim", "2"]):
+                  ["gaussian-mixture", "--classes", "5", "--dim", "2"],
+                  ["two-moons", "--noise", "nan"], ["two-moons", "--noise", "inf"],
+                  ["bias-pair", "--core-noise", "-0.5"], ["bias-pair", "--core-noise", "nan"],
+                  ["gaussian-mixture", "--dim", "0"], ["gaussian-mixture", "--separation", "nan"],
+                  ["gaussian-mixture", "--shift-angle", "0.5", "--classes", "2", "--dim", "1"],
+                  ["two-moons", "--shift-angle", "nan"], ["two-moons", "--shift-scale", "nan"],
+                  ["two-moons", "--shift-scale", "inf"]):
         assert run_main(["gen-data", *flags, "--out", "x.csv"]) == 1
-        assert "pdrlab: config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pdrlab: config error" in err
+        flag = [f for f in flags if f.startswith("--")][-1]  # the flag whose value is bad
+        assert f"config error: {flag} must" in err, (flags, err)
 
 
 def test_gen_data_unknown_family_is_usage_error(capsys):
@@ -320,11 +329,18 @@ def test_verify_reports_failures_with_exit_two(monkeypatch, capsys):
     assert "broken_identity" in captured.err
 
 
-@pytest.mark.parametrize("blank", ["", " "])
+@pytest.mark.parametrize("blank", ["", " ", "lots", "3"])
 def test_verify_treats_blank_thread_env_as_unset(monkeypatch, capsys, blank):
+    # verify reads no environment variable: any value of the old pool knob prints the same bytes
+    argv = ["verify", "--suite", "divergence", "--trials", "10"]
+    monkeypatch.delenv("PDR_LAB_THREADS", raising=False)
+    assert run_main(argv) == 0
+    unset = capsys.readouterr().out
     monkeypatch.setenv("PDR_LAB_THREADS", blank)
-    assert run_main(["verify", "--suite", "divergence", "--trials", "10"]) == 0
-    assert "properties held" in capsys.readouterr().out
+    assert run_main(argv) == 0
+    out = capsys.readouterr().out
+    assert "properties held" in out
+    assert out == unset
 
 
 def test_verify_rejects_bad_trials(capsys):

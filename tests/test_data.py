@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,8 +93,15 @@ def test_moons_noise_is_seeded():
 def test_moons_rejects_bad_args():
     with pytest.raises(ValueError):
         make_two_moons(0, 0.1, 1)
-    with pytest.raises(ValueError):
-        make_two_moons(10, -0.1, 1)
+    for noise in (-0.1, math.nan, math.inf):  # a NaN must not pass as "no noise"
+        with pytest.raises(ValueError, match="noise_std"):
+            make_two_moons(10, noise, 1)
+
+
+def test_spurious_pair_rejects_bad_noise():
+    for noise in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="core_noise"):
+            make_spurious_pair(10, noise, 1)
 
 
 def test_moons_core_rule_is_exact_on_noiseless_arcs():

@@ -6,6 +6,7 @@ import pytest
 from pdrlab import model as mlp
 from pdrlab.properties import _fd_param_grads as fd_param_grads
 from pdrlab.properties import _grad_rel_err
+from pdrlab.spans import SpanModel
 from pdrlab.tensor import RandomSource, softmax
 
 
@@ -53,6 +54,15 @@ def test_parameters_are_read_only():
         m.weights[0][0, 0] = 1.0
     with pytest.raises(ValueError):
         m.params[0] = 1.0
+
+
+def test_constructors_copy_the_callers_params():
+    for cls, size in ((mlp.MlpModel, mlp.n_params((2, 3))), (SpanModel, mlp.n_params((2, 3)) + 2 * 3)):
+        a = np.zeros(size)
+        m = cls((2, 3), a)
+        a[0] = 1.0  # the caller's array stays writable
+        assert m.params[0] == 0.0  # and writing to it does not reach the model
+        assert not m.params.flags.writeable
 
 
 def test_params_are_one_flat_vector_of_layer_views():

@@ -153,29 +153,17 @@ def test_doubled_curvature_is_caught(monkeypatch):
 
 
 def test_worker_count_env(monkeypatch):
+    # the suites run on the calling thread; the variable that once set a pool size is ignored
     monkeypatch.delenv("PDR_LAB_THREADS", raising=False)
-    auto = worker_count()
-    assert auto >= 1
-    for blank in ("", " ", "\t\n"):  # shells and CI files set a variable empty to unset it
-        monkeypatch.setenv("PDR_LAB_THREADS", blank)
-        assert worker_count() == auto
-    monkeypatch.setenv("PDR_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("PDR_LAB_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("PDR_LAB_THREADS", "-1")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("PDR_LAB_THREADS", "lots")
-    with pytest.raises(ValueError):
-        worker_count()
+    assert worker_count() == 1
+    for value in ("", "3", "-1", "lots"):
+        monkeypatch.setenv("PDR_LAB_THREADS", value)
+        assert worker_count() == 1
 
 
-def test_map_indexed_keeps_order(monkeypatch):
-    monkeypatch.setenv("PDR_LAB_THREADS", "4")
+def test_map_indexed_keeps_order():
     out = map_indexed(lambda i: i * i, 100)
     assert out == [i * i for i in range(100)]
-    monkeypatch.setenv("PDR_LAB_THREADS", "1")
     assert map_indexed(lambda i: -i, 10) == [-i for i in range(10)]
 
 
