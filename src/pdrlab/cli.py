@@ -19,7 +19,7 @@ from . import model as mlp
 from . import properties as props
 from . import trainer as tr
 from .divergences import GENERATOR_KINDS, PROB_FLOOR, f_divergence, generator
-from .regularizers import NORM_KINDS, PENALTY_KINDS, PerturbationConfig, RegularizerSpec
+from .regularizers import PerturbationConfig, RegularizerSpec
 
 
 class ConfigError(ValueError):
@@ -94,9 +94,6 @@ _SCALARS = {
     "model.hidden": (str, None),
     "optimizer.kind": (str, "train.optimizer"),
     "optimizer.learning_rate": (float, "train.learning_rate"),
-    "optimizer.beta1": (float, "train.beta1"),
-    "optimizer.beta2": (float, "train.beta2"),
-    "optimizer.eps": (float, "train.adam_eps"),
     "regularizer.kind": (str, "regularizer.kind"),
     "regularizer.divergence": (str, "regularizer.generator_kind"),
     "regularizer.alpha": (float, "regularizer.alpha"),
@@ -160,10 +157,8 @@ def _parse_hidden(text: str):
 
 def build_train_config(cfg: dict, seed_override=None) -> tr.TrainConfig:
     """TrainConfig from the keys present in cfg; every field no key sets keeps
-    its dataclass default, and the three TrainConfig fields without one
-    default to 30 epochs, batches of 32 and seed 1."""
-    args = {"train": {"epochs": 30, "batch_size": 32, "seed": 1}, "regularizer": {},
-            "perturbation": {}}
+    its dataclass default."""
+    args = {"train": {}, "regularizer": {}, "perturbation": {}}
     for key, value in cfg.items():
         target = _SCALARS.get(key, (None, None))[1]  # eval.* keys set no field
         if target:
@@ -241,16 +236,17 @@ def _cmd_train(args) -> int:
     eval_sets = {key[5:]: dt.read_csv(path) for key, path in sorted(cfg.items())
                  if key.startswith("eval.")}
     run = tr.train(model0, ds, config, eval_sets=eval_sets or None)
+    # (per-epoch label, final label, record key); no labeled row, no train accuracy
+    accuracies = [(name, name, f"eval_{name}_accuracy") for name in sorted(eval_sets)]
+    if "train_accuracy" in run.final:
+        accuracies.insert(0, ("train_acc", "train", "train_accuracy"))
     if not args.quiet:
         for rec in run.epochs:
-            extras = "".join(
-                f"  {name}={rec[f'eval_{name}_accuracy']:.4f}" for name in sorted(eval_sets))
+            extras = "".join(f"  {label}={rec[key]:.4f}" for label, _, key in accuracies)
             print(f"epoch {rec['epoch']:3d}  ce={rec['mean_ce']:.6f}  "
-                  f"penalty={rec['mean_penalty']:.6f}  "
-                  f"train_acc={rec['train_accuracy']:.4f}{extras}")
-    print(f"final train accuracy {run.final['train_accuracy']:.12g}")
-    for name in sorted(eval_sets):
-        print(f"final {name} accuracy {run.final[f'eval_{name}_accuracy']:.12g}")
+                  f"penalty={rec['mean_penalty']:.6f}{extras}")
+    for _, label, key in accuracies:
+        print(f"final {label} accuracy {run.final[key]:.12g}")
     if args.model_out:
         mlp.save_model(run.model, args.model_out)
         print(f"wrote model to {args.model_out}")

@@ -8,6 +8,7 @@ in memory and on disk alike.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,8 @@ def make_gaussian_mixture(n: int, k: int, dim: int, separation: float, seed: int
     """Unit-covariance Gaussian blobs at mutually equidistant means."""
     if k < 2 or dim < 1 or n < 1:
         raise ValueError("need n >= 1, k >= 2, dim >= 1")
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
+    if not 0 <= separation < np.inf:  # also catches NaN
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     means = _simplex_means(k, dim, separation)
     counts = [n // k + (1 if c < n % k else 0) for c in range(k)]
     labels = np.repeat(np.arange(k), counts)
@@ -128,8 +129,10 @@ def apply_domain_shift(ds: Dataset, angle: float, scale: float, seed: int) -> Da
     d = ds.n_features
     if d < 2:
         raise ValueError("domain shift needs at least 2 feature dimensions")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
+    if not 0 < scale < np.inf:  # also catches NaN
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     rng = RandomSource(seed)
     u = rng.split(0).generator().standard_normal(d)
     u /= np.linalg.norm(u)

@@ -29,14 +29,11 @@ _SHUFFLE, _PENALTY, _INIT = 0, 1, 2
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int
-    batch_size: int
-    seed: int
+    epochs: int = 30
+    batch_size: int = 32
+    seed: int = 1
     optimizer: str = "adam"
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lr_decay: str = "none"
     regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
 
@@ -47,12 +44,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.lr_decay not in LR_DECAY_KINDS:
             raise ValueError(f"lr_decay must be one of {LR_DECAY_KINDS}")
-        if not all(map(math.isfinite, (self.learning_rate, self.beta1, self.beta2, self.adam_eps))):
-            raise ValueError("learning_rate, beta1, beta2 and adam_eps must be finite")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.adam_eps > 0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1) and adam_eps must be positive")
+        if not 0.0 < self.learning_rate < math.inf:  # also catches NaN
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,9 @@ def adam_init(model: mlp.MlpModel):
 
 def adam_step(state, grads: np.ndarray, learning_rate: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected moment update; returns (state, update to subtract)."""
+    """One bias-corrected moment update; returns (state, update to subtract).
+
+    `train` always takes the defaults, Kingma & Ba's."""
     t, m, v = state
     t += 1
     m = beta1 * m + (1.0 - beta1) * grads
@@ -173,7 +168,7 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
                     grads = grads + (spec.alpha / len(batch)) * pen_grads
                 term = "parameter update"
                 if cfg.optimizer == "adam":
-                    state, update = adam_step(state, grads, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                    state, update = adam_step(state, grads, lr)
                     model = mlp.apply_update(model, update, 1.0)
                 else:
                     model = mlp.apply_update(model, grads, lr)

@@ -1,21 +1,23 @@
-"""The names bench/run.py looks up in pdrlab still resolve.
+"""The names and config fields bench/run.py uses in pdrlab still exist.
 
 The benchmark traces every (module, class, attribute) in `TRACED` of
-bench/workloads.py and records `properties.worker_count()`, so renaming or
-deleting one of them breaks the benchmark; this test fails first.
+bench/workloads.py, records `properties.worker_count()`, and builds each
+training workload's `TrainConfig` from its `config()` and `variants()`, so
+renaming or deleting one of them breaks the benchmark; these tests fail first.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
-def traced_names():
+def load_workloads():
     sys.dont_write_bytecode, saved = True, sys.dont_write_bytecode  # leave bench/ as it is
     try:
         spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
@@ -23,7 +25,15 @@ def traced_names():
         spec.loader.exec_module(workloads)
     finally:
         sys.dont_write_bytecode = saved
-    return [(module, cls_name, attr) for _, module, cls_name, attr, _ in workloads.TRACED]
+    return workloads
+
+
+def traced_names():
+    return [(module, cls_name, attr) for _, module, cls_name, attr, _ in load_workloads().TRACED]
+
+
+def training_workloads():
+    return [name for name, cls in load_workloads().WORKLOADS.items() if hasattr(cls, "variants")]
 
 
 @pytest.mark.parametrize("module,cls_name,attr", traced_names() + [("properties", None, "worker_count")])
@@ -32,3 +42,17 @@ def test_bench_names_resolve(module, cls_name, attr):
     if cls_name is not None:
         owner = getattr(owner, cls_name)
     assert callable(getattr(owner, attr, None))
+
+
+@pytest.mark.parametrize("name", training_workloads())
+def test_bench_training_configs_build(name):
+    workloads = load_workloads()
+    # the live modules, not workloads.Pdr(), which re-imports pdrlab
+    pd = SimpleNamespace(**{m: importlib.import_module(f"pdrlab.{m}") for m in workloads.MODULES})
+    workload = object.__new__(workloads.WORKLOADS[name])  # skips building the datasets
+    workload.pd = pd
+    variants = workload.variants()  # builds each RegularizerSpec and PerturbationConfig
+    assert variants
+    for spec in variants.values():
+        assert isinstance(spec.perturbation, pd.regularizers.PerturbationConfig)
+        pd.trainer.TrainConfig(regularizer=spec, seed=1, **workload.config())  # as `op` builds it

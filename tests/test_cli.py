@@ -102,6 +102,11 @@ def test_gen_data_bad_n(capsys):
         assert f"config error: {flag} must" in err, (flags, err)
 
 
+def test_gen_data_without_out_is_config_error(capsys):
+    assert run_main(["gen-data", "two-moons", "--n", "10"]) == 1
+    assert "config error: two-moons needs --out" in capsys.readouterr().err
+
+
 def test_gen_data_unknown_family_is_usage_error(capsys):
     assert run_main(["gen-data", "swiss-roll", "--out", "x.csv"]) == 1
     capsys.readouterr()
@@ -160,6 +165,46 @@ def test_train_metrics_deterministic_output_is_byte_identical(tmp_path, capsys):
     assert "run_id" not in json.loads(out1.read_text())
 
 
+@pytest.mark.parametrize("quiet", [False, True])
+def test_train_with_no_labeled_row_reports_no_train_accuracy(tmp_path, capsys, quiet):
+    data, labeled = tmp_path / "d.csv", tmp_path / "e.csv"
+    run_main(["gen-data", "two-moons", "--n", "20", "--labeled-fraction", "0", "--out", str(data)])
+    run_main(["gen-data", "two-moons", "--n", "20", "--seed", "2", "--out", str(labeled)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data = {data}\nepochs = 2\nregularizer.kind = vat\neval.test = {labeled}\n")
+    model, metrics = tmp_path / "m.json", tmp_path / "metrics.json"
+    capsys.readouterr()
+    argv = ["train", "--config", str(cfg), "--model-out", str(model), "--metrics-out", str(metrics)]
+    assert run_main(argv + ["--quiet"] * quiet) == 0
+    out = capsys.readouterr().out
+    assert "train_acc" not in out and "final train accuracy" not in out
+    assert "final test accuracy" in out
+    if quiet:
+        assert "epoch" not in out
+    else:
+        assert "epoch   1" in out and "  test=" in out
+    assert model.exists()
+    assert "train_accuracy" not in json.loads(metrics.read_text())["final"]
+
+
+def test_train_config_without_data_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("epochs = 2\n")
+    assert run_main(["train", "--config", str(cfg)]) == 1
+    assert "config error: config is missing the data key" in capsys.readouterr().err
+
+
+def test_train_empty_hidden_is_a_linear_model(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data = {data}\nepochs = 1\nmodel.hidden =\n")
+    model = tmp_path / "m.json"
+    assert run_main(["train", "--config", str(cfg), "--quiet", "--model-out", str(model)]) == 0
+    capsys.readouterr()
+    assert json.loads(model.read_text())["layer_dims"] == [2, 2]
+
+
 def test_train_missing_data_file_is_runtime_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("data = /nonexistent/never.csv\n")
@@ -199,7 +244,8 @@ def test_train_bad_config_key_is_config_error(tmp_path, capsys):
                                   "optimizer.learning_rate = nan", "optimizer.beta2 = -inf",
                                   "regularizer.alpha = nan", "optimizer.beta1 = 1",
                                   "optimizer.beta2 = 1.5", "optimizer.eps = 0",
-                                  "regularizer.alpha = -5"])
+                                  "regularizer.alpha = -5", "model.hidden = 4,x",
+                                  "model.hidden = 0"])
 def test_train_bad_config_value_is_config_error(tmp_path, capsys, line):
     data = tmp_path / "d.csv"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
@@ -233,6 +279,9 @@ def test_parse_config_values_and_comments():
     ("turbo = on", "unknown key"),
     ("eval. = x.csv", "split name"),
     ("regularizer.through_clean = maybe", "bad value"),
+    ("optimizer.beta1 = 0.9", "unknown key"),
+    ("optimizer.beta2 = 0.999", "unknown key"),
+    ("optimizer.eps = 1e-8", "unknown key"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -245,8 +294,8 @@ def test_empty_config_builds_the_default_train_config():
     reg = RegularizerSpec(kind="none", generator_kind="KL", alpha=1.0, perturbation=pert,
                           through_clean=False)
     want = TrainConfig(epochs=30, batch_size=32, seed=1, optimizer="adam", learning_rate=1e-2,
-                       beta1=0.9, beta2=0.999, adam_eps=1e-8, lr_decay="none", regularizer=reg)
-    assert cli.build_train_config({}) == want
+                       lr_decay="none", regularizer=reg)
+    assert cli.build_train_config({}) == want == TrainConfig()
     assert cli.build_train_config({}, seed_override=5) == replace(want, seed=5)
 
 
@@ -254,8 +303,7 @@ def test_every_config_key_sets_its_field():
     cfg = parse_config(
         "data = d.csv\nmodel.hidden = 4\neval.test = t.csv\n"
         "seed = 7\nepochs = 3\nbatch_size = 5\nlr_decay = linear\noptimizer.kind = sgd\n"
-        "optimizer.learning_rate = 0.5\noptimizer.beta1 = 0.8\noptimizer.beta2 = 0.99\n"
-        "optimizer.eps = 1e-6\nregularizer.kind = vat\nregularizer.divergence = JSD\n"
+        "optimizer.learning_rate = 0.5\nregularizer.kind = vat\nregularizer.divergence = JSD\n"
         "regularizer.alpha = 2\nregularizer.through_clean = true\nperturbation.radius = 0.3\n"
         "perturbation.norm = linf\nperturbation.steps = 2\nperturbation.eta = 0.01\n"
         "perturbation.init_std = 1e-4\nperturbation.samples = 3\n")
@@ -264,8 +312,8 @@ def test_every_config_key_sets_its_field():
     reg = RegularizerSpec(kind="vat", generator_kind="JSD", alpha=2.0, perturbation=pert,
                           through_clean=True)
     assert cli.build_train_config(cfg) == TrainConfig(
-        epochs=3, batch_size=5, seed=7, optimizer="sgd", learning_rate=0.5, beta1=0.8,
-        beta2=0.99, adam_eps=1e-6, lr_decay="linear", regularizer=reg)
+        epochs=3, batch_size=5, seed=7, optimizer="sgd", learning_rate=0.5,
+        lr_decay="linear", regularizer=reg)
 
 
 # ---------------------------------------------------------------- divergence

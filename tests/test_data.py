@@ -135,6 +135,9 @@ def test_mixture_needs_enough_dimensions():
         make_gaussian_mixture(10, k=4, dim=2, separation=1.0, seed=1)
     with pytest.raises(ValueError):
         make_gaussian_mixture(10, k=1, dim=2, separation=1.0, seed=1)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="separation must be finite and >= 0"):
+            make_gaussian_mixture(10, k=2, dim=2, separation=bad, seed=1)
 
 
 # ---------------------------------------------------------------- domain shift
@@ -168,6 +171,12 @@ def test_shift_validation():
     one_dim = Dataset(np.zeros((3, 1)), (0, 1, 0), 2, {})
     with pytest.raises(ValueError):
         apply_domain_shift(one_dim, 0.1, 1.0, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            apply_domain_shift(ds, bad, 1.0, 1)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale must be finite and positive"):
+            apply_domain_shift(ds, 0.1, bad, 1)
 
 
 # ---------------------------------------------------------------- spurious pair

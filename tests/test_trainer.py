@@ -41,15 +41,9 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=8, seed=1, lr_decay="cosine")
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=8, seed=1, learning_rate=0.0)
-    for field in ("learning_rate", "beta1", "beta2", "adam_eps"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                TrainConfig(epochs=1, batch_size=8, seed=1, **{field: bad})
-    for field, bad in (("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", -1e-3),
-                       ("adam_eps", 0.0), ("adam_eps", -1e-8)):
-        with pytest.raises(ValueError, match=field):
-            TrainConfig(epochs=1, batch_size=8, seed=1, **{field: bad})
-    TrainConfig(epochs=1, batch_size=8, seed=1, beta1=0.0, beta2=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(epochs=1, batch_size=8, seed=1, learning_rate=bad)
 
 
 def test_init_model_for_sizes_from_dataset():
