@@ -48,7 +48,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--core-noise", type=float, default=0.15, help="bias-pair core noise std")
     gen.add_argument("--shift-angle", type=float, default=0.0, help="rotation applied after sampling")
     gen.add_argument("--shift-scale", type=float, default=1.0, help="scale applied after sampling")
-    gen.add_argument("--shift-seed", type=int, default=None, help="seed for the rotation plane")
     gen.add_argument("--labeled-fraction", type=float, default=1.0,
                      help="fraction of rows that keep their label")
     gen.add_argument("--out", help="output CSV (two-moons, gaussian-mixture)")
@@ -201,12 +200,12 @@ def _cmd_gen_data(args) -> int:
     try:  # the dataset functions reject a bad flag value with a ValueError
         if args.family == "bias-pair":
             train, eval_ds = dt.make_spurious_pair(args.n, args.core_noise, args.seed)
-            outputs = [(_post_gen(train, args), args.train_out), (eval_ds, args.eval_out)]
+            outputs = [(_post_gen(train, args, shifted), args.train_out), (eval_ds, args.eval_out)]
         elif args.family == "two-moons":
-            outputs = [(_post_gen(dt.make_two_moons(args.n, args.noise, args.seed), args), args.out)]
+            outputs = [(_post_gen(dt.make_two_moons(args.n, args.noise, args.seed), args, shifted), args.out)]
         else:
             ds = dt.make_gaussian_mixture(args.n, args.classes, args.dim, args.separation, args.seed)
-            outputs = [(_post_gen(ds, args), args.out)]
+            outputs = [(_post_gen(ds, args, shifted), args.out)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     for ds, path in outputs:
@@ -215,10 +214,9 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _post_gen(ds: dt.Dataset, args) -> dt.Dataset:
-    if args.shift_angle != 0.0 or args.shift_scale != 1.0:  # as `shifted` in _cmd_gen_data
-        shift_seed = args.seed + 1 if args.shift_seed is None else args.shift_seed
-        ds = dt.apply_domain_shift(ds, args.shift_angle, args.shift_scale, shift_seed)
+def _post_gen(ds: dt.Dataset, args, shifted: bool) -> dt.Dataset:
+    if shifted:  # the rotation plane is seeded one past the dataset
+        ds = dt.apply_domain_shift(ds, args.shift_angle, args.shift_scale, args.seed + 1)
     if args.labeled_fraction < 1.0:
         ds = dt.withhold_labels(ds, args.labeled_fraction, args.seed)
     return ds

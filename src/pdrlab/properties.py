@@ -305,7 +305,6 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     row_sum_dev = 0.0
     jac_fd_err = 0.0
     sp_fro_slack = math.inf
-    sp_oracle_note = []
     for i in range(n_models):
         model, x = _model_instance(rng.split(21), i)
         jac = mlp.input_jacobian(model, x)

@@ -173,7 +173,10 @@ def as_mat(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def check_simplex(p: np.ndarray, name: str = "distribution", tol: float = 1e-12) -> np.ndarray:
+_SIMPLEX_TOL = 1e-12
+
+
+def check_simplex(p: np.ndarray, name: str = "distribution") -> np.ndarray:
     """Validate that p lies on the probability simplex (along the last axis)."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1] < 1:
@@ -182,8 +185,8 @@ def check_simplex(p: np.ndarray, name: str = "distribution", tol: float = 1e-12)
         raise ValueError(f"{name} has non-finite entries")
     if (p < 0).any():
         raise ValueError(f"{name} has negative entries")
-    if (np.abs(p.sum(axis=-1) - 1.0) > tol).any():
-        raise ValueError(f"{name} does not sum to 1 within {tol}")
+    if (np.abs(p.sum(axis=-1) - 1.0) > _SIMPLEX_TOL).any():
+        raise ValueError(f"{name} does not sum to 1 within {_SIMPLEX_TOL}")
     return p
 
 
@@ -214,25 +217,9 @@ def frobenius_norm(mat: np.ndarray) -> float:
     return float(np.sqrt(np.sum(m * m)))
 
 
-def spectral_norm(mat: np.ndarray, iters: int = 200, tol: float = 1e-12) -> float:
-    """Largest singular value by power iteration on mat^T mat.
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, exact to float64 rounding (LAPACK SVD).
 
-    Starts from the normalized all-ones vector so repeated calls agree
-    bit for bit. Accurate to ~tol relative error when the top singular
-    values are separated; never exceeds the true value.
+    An empty matrix, with no rows or no columns, has norm 0.0.
     """
-    a = as_mat(mat, "spectral_norm input")
-    n = a.shape[1]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    sigma = 0.0
-    for _ in range(iters):
-        w = a.T @ (a @ v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        new_sigma = float(np.linalg.norm(a @ v))
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.norm(as_mat(mat, "spectral_norm input"), 2))

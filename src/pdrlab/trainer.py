@@ -90,17 +90,25 @@ def adam_step(state, grads: np.ndarray, learning_rate: float,
     return (t, m, v), update
 
 
-def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
-    """Accuracy and mean cross-entropy over the labeled examples."""
+def _scorable_rows(model: mlp.MlpModel, ds: Dataset, name: str = "dataset") -> np.ndarray:
+    """Indices of ds's labeled rows, after checking that the model can score
+    them: ds has a labeled row, the model's feature count and no label past
+    the model's classes."""
     idx = ds.labeled_indices()
     if idx.size == 0:
-        raise ValueError("evaluate needs at least one labeled example")
+        raise ValueError(f"{name} has no labeled example")
     if ds.n_features != model.n_inputs:
-        raise ValueError(f"dataset has {ds.n_features} features, model expects {model.n_inputs}")
+        raise ValueError(f"{name} has {ds.n_features} features, model expects {model.n_inputs}")
+    if ds.labels[idx].max() >= model.n_classes:
+        raise ValueError(f"{name} labels exceed the model's class count")
+    return idx
+
+
+def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
+    """Accuracy and mean cross-entropy over the labeled examples."""
+    idx = _scorable_rows(model, ds)
     X = ds.features[idx]
     y = ds.labels[idx]
-    if y.max() >= model.n_classes:
-        raise ValueError("dataset labels exceed the model's class count")
     tr = mlp.forward_batch(model, X)
     preds = np.argmax(tr.posteriors, axis=1)  # ties resolve to the lowest class
     ces = log_sum_exp(tr.logits) - tr.logits[np.arange(idx.size), y]
@@ -122,16 +130,18 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
     """Run the full protocol; returns the final model and per-epoch metrics."""
     t_start = time.monotonic()
     spec = cfg.regularizer
-    eval_sets = eval_sets or {}
     if ds.n_features != model0.n_inputs:
         raise ValueError(f"dataset has {ds.n_features} features, model expects {model0.n_inputs}")
     labeled = ds.labels != UNLABELED
     n_labeled = int(labeled.sum())
     if n_labeled == 0 and spec.kind == "none":
         raise ValueError("all examples are unlabeled and there is no penalty: nothing to optimize")
+    # (record key, dataset, name in errors) of each set scored after every epoch
+    scored = [("train", ds, "dataset")] if n_labeled else []
+    scored += [(f"eval_{name}", eval_ds, f"eval set '{name}'") for name, eval_ds in (eval_sets or {}).items()]
+    for _, scored_ds, label in scored:
+        _scorable_rows(model0, scored_ds, label)
     y_filled = np.where(labeled, ds.labels, 0)  # any class will do: weights zero these rows
-    if n_labeled and y_filled.max() >= model0.n_classes:
-        raise ValueError("dataset labels exceed the model's class count")
     weights = labeled.astype(np.float64)
     n = ds.n_examples
 
@@ -184,13 +194,11 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
             "mean_penalty": float(mean_penalty),
             "total_loss": float(mean_ce + spec.alpha * mean_penalty),
         }
-        if n_labeled:
-            try:
-                record["train_accuracy"] = evaluate(model, ds).accuracy
-            except ValueError as exc:  # ds passed evaluate's checks above; logits overflowed
-                raise _diverged(epoch, b, "parameter update", exc) from None
-        for name, eval_ds in eval_sets.items():
-            record[f"eval_{name}_accuracy"] = evaluate(model, eval_ds).accuracy
+        try:
+            for key, scored_ds, _ in scored:
+                record[f"{key}_accuracy"] = evaluate(model, scored_ds).accuracy
+        except ValueError as exc:  # every set passed evaluate's checks above; logits overflowed
+            raise _diverged(epoch, b, "parameter update", exc) from None
         epoch_records.append(record)
 
     final = dict(epoch_records[-1])

@@ -107,8 +107,11 @@ def test_gen_data_without_out_is_config_error(capsys):
     assert "config error: two-moons needs --out" in capsys.readouterr().err
 
 
-def test_gen_data_unknown_family_is_usage_error(capsys):
+def test_gen_data_unknown_family_is_usage_error(tmp_path, capsys):
     assert run_main(["gen-data", "swiss-roll", "--out", "x.csv"]) == 1
+    out = tmp_path / "d.csv"
+    assert run_main(["gen-data", "two-moons", "--shift-seed", "3", "--out", str(out)]) == 1
+    assert not out.exists()
     capsys.readouterr()
 
 
@@ -212,7 +215,21 @@ def test_train_missing_data_file_is_runtime_error(tmp_path, capsys):
     assert "pdrlab: error" in capsys.readouterr().err
 
 
+def test_train_unusable_eval_set_exits_3_naming_it(tmp_path, capsys):
+    data, unlabeled = tmp_path / "d.csv", tmp_path / "u.csv"
+    run_main(["gen-data", "two-moons", "--n", "20", "--out", str(data)])
+    run_main(["gen-data", "two-moons", "--n", "20", "--labeled-fraction", "0", "--out", str(unlabeled)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data = {data}\nepochs = 2\neval.u = {unlabeled}\n")
+    capsys.readouterr()
+    assert run_main(["train", "--config", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert "eval set 'u' has no labeled example" in err
+    assert "epoch" not in out
+
+
 # 30 rows fit in one batch, so the overflow first shows in the epoch-end evaluation
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("n, learning_rate", [(200, "1e306"), (200, "1e308"), (30, "1e308")])
 def test_diverged_training_exits_3_and_writes_no_metrics(tmp_path, capsys, n, learning_rate):
     data = tmp_path / "d.csv"

@@ -43,7 +43,7 @@ def test_all_runs_every_suite_in_order():
     # list the moved lines in CHANGES.md.
     text = "".join(f"{r.name} {r.slack!r} {r.detail}\n" for r in all_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "b7a02aa2ed119ea118e952694270743f21cad5744b2f21caf947baba339c0a8c")
+        "64ea20e799ffd138e39d3ec2671edffe6bd2c318b16199ad67a6088966cf3c6f")
 
 
 def test_suites_are_deterministic():
@@ -150,6 +150,16 @@ def test_shared_kernel_draw_scale_is_caught(monkeypatch):
 def test_doubled_curvature_is_caught(monkeypatch):
     monkeypatch.setitem(GENERATORS, "KL", replace(KL, curvature_at_one=2.0))
     assert "rpt_mean_matches_quadratic_trace" in _failed(run_suite("vat", trials=100, seed=1))
+
+
+@pytest.mark.parametrize("factor, check", [(1.01, "spectral_le_frobenius"),
+                                           (0.999, "distance_and_jacobian_chains")])
+def test_wrong_spectral_norm_is_caught(monkeypatch, factor, check):
+    # too large breaks ||J||_2 <= ||J||_F; too small breaks ||J eps|| <= ||J||_2 ||eps||
+    clean = tensor.spectral_norm
+    for module in (properties, regularizers):
+        monkeypatch.setattr(module, "spectral_norm", lambda mat: factor * clean(mat))
+    assert check in _failed(run_suite("jacobian", trials=40, seed=1))
 
 
 def test_worker_count_env(monkeypatch):

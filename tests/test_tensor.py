@@ -212,8 +212,11 @@ def test_spectral_norm_matches_svd():
         assert spectral_norm(m) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((3, 4))) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+    assert spectral_norm(np.zeros((3, 0))) == 0.0
 
 
 def test_spectral_norm_never_exceeds_frobenius():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
+from pdrlab import trainer
 from pdrlab.data import UNLABELED, Dataset, make_two_moons, withhold_labels
 from pdrlab.regularizers import PerturbationConfig, RegularizerSpec
 from pdrlab.tensor import RandomSource
@@ -218,7 +219,7 @@ def test_sgd_and_linear_decay_run():
     assert run.epochs[-1]["mean_ce"] < run.epochs[0]["mean_ce"]
 
 
-def test_train_validates_dataset_against_model():
+def test_train_validates_dataset_against_model(monkeypatch):
     ds = tiny_moons(n=10)
     wrong = mlp.init_mlp((3, 4, 2), RandomSource(1))
     with pytest.raises(ValueError):
@@ -226,6 +227,20 @@ def test_train_validates_dataset_against_model():
     narrow = mlp.init_mlp((2, 4, 1), RandomSource(1))
     with pytest.raises(ValueError):
         train(narrow, ds, quick_config())
+
+    def no_epoch(*args):
+        raise AssertionError("an epoch started before the eval sets were checked")
+
+    monkeypatch.setattr(trainer, "permutation", no_epoch)
+    model = mlp.init_mlp((2, 4, 2), RandomSource(1))
+    bad_sets = {
+        "u": Dataset(ds.features, (UNLABELED,) * 10, 2, {}),
+        "m": Dataset(np.zeros((10, 4)), (0, 1) * 5, 2, {}),
+        "c": Dataset(ds.features, (0, 1, 2) + (0,) * 7, 3, {}),
+    }
+    for name, bad in bad_sets.items():
+        with pytest.raises(ValueError, match=f"eval set '{name}'"):
+            train(model, ds, quick_config(), eval_sets={"ok": ds, name: bad})
 
 
 # ---------------------------------------------------------------- metrics doc
