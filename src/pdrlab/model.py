@@ -7,9 +7,9 @@ and tangents along input directions. The posterior's input Jacobian is
 accumulated from the output side as (B, m, h) arrays, and the parameter
 gradient of its squared norm is one reverse sweep over that accumulation.
 
-Per-example functions take 1-D inputs, and their trace is the one-row
-BatchTrace of that input; the *_batch variants take one example per row and
-are what the trainer and penalty code call.
+`forward`, `posterior` and `input_jacobian` take one 1-D example, and `forward`
+returns its one-row BatchTrace. Gradients come from the *_batch functions, one
+example per row; one example's gradients are theirs on its one-row trace.
 """
 
 from __future__ import annotations
@@ -167,11 +167,6 @@ def posterior(model: MlpModel, x) -> np.ndarray:
     return forward(model, x).posteriors[0]
 
 
-def _check_one_row(trace: BatchTrace) -> None:
-    if trace.inputs.shape[0] != 1:
-        raise ValueError(f"expected the one-row trace of forward, got {trace.inputs.shape[0]} rows")
-
-
 def _backward_from_logits(model, tr, g_logits, want_param_grads=True, g_sech2=None):
     """Backpropagate d(scalar)/d(logits) rows to parameters and inputs.
 
@@ -201,11 +196,15 @@ def _softmax_vjp(p, g):
 def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     """Cross-entropy losses and gradients for a batch.
 
-    weights scales each example's contribution to the summed parameter
-    gradients (used to zero out unlabeled rows); losses are unweighted.
+    labels holds a class index in [0, m) per row. weights scales each row's
+    share of the summed parameter gradients (used to zero out unlabeled
+    rows); losses are unweighted.
     """
     labels = np.asarray(labels)
-    rows = np.arange(tr.logits.shape[0])
+    b, m = tr.logits.shape
+    if labels.shape != (b,) or not ((0 <= labels) & (labels < m)).all():
+        raise ValueError(f"labels must be {b} class indices in [0, {m}), got {labels!r}")
+    rows = np.arange(b)
     # loss = lse(logits) - logit[label], stable for saturated posteriors
     losses = log_sum_exp(tr.logits) - tr.logits[rows, labels]
     g = tr.posteriors.copy()
@@ -216,29 +215,10 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     return losses, grads, xg
 
 
-def backward_ce(model, trace: BatchTrace, label: int):
-    """(loss -log p[label], flat parameter grads, input grad) for one example."""
-    _check_one_row(trace)
-    if not 0 <= int(label) < model.n_classes:
-        raise ValueError(f"label {label} out of range for {model.n_classes} classes")
-    losses, grads, xg = backward_ce_batch(model, trace, [int(label)])
-    return float(losses[0]), grads, xg[0]
-
-
 def backward_scalar_of_posterior_batch(model, tr: BatchTrace, seed, want_param_grads=True):
     """(Parameter grads or None, input grads) of sum_i s_i where d s_i / d posterior_i = seed row i."""
     seed = np.asarray(seed, dtype=np.float64)
     return _backward_from_logits(model, tr, _softmax_vjp(tr.posteriors, seed), want_param_grads)
-
-
-def backward_scalar_of_posterior(model, trace: BatchTrace, dvalue_dposterior):
-    """(flat parameter grads, input grad) of a scalar s given ds/dposterior."""
-    _check_one_row(trace)
-    seed = np.asarray(dvalue_dposterior, dtype=np.float64)
-    if seed.shape != (model.n_classes,):
-        raise ValueError(f"seed must have shape ({model.n_classes},), got {seed.shape}")
-    grads, xg = backward_scalar_of_posterior_batch(model, trace, seed[None, :])
-    return grads, xg[0]
 
 
 def _jacobian_path(model, tr):

@@ -213,19 +213,13 @@ def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     return _quadratic_form(gen, tr.posteriors, dz)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Minimum slack, over trials, in each link of the two inequality chains."""
-
-    worst_gap: float  # 2 KL(clean, noisy) - ||noisy - clean||_2^2
-    min_kl_l1_gap: float  # 2 KL - ||.||_1^2
-    min_l1_l2_gap: float  # ||.||_1^2 - ||.||_2^2
-    min_spectral_gap: float  # c^2 ||J||_sp^2 - ||J eps||_2^2
-    min_frobenius_gap: float  # c^2 (||J||_F^2 - ||J||_sp^2)
-
-
-def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource) -> BoundCheck:
-    """Check the distance and Jacobian-norm chains at ||eps||_2 = radius draws."""
+def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource) -> float:
+    """Minimum slack, over `trials` draws eps with ||eps||_2 = c = radius, in
+    every link of the distance and Jacobian-norm chains, with p and q the clean
+    and noisy posteriors and J the input Jacobian at x (NaN if any link is NaN):
+      2 KL(p, q) - ||q - p||_2^2, 2 KL - ||q - p||_1^2, ||q - p||_1^2 - ||q - p||_2^2,
+      c^2 ||J||_sp^2 - ||J eps||_2^2 and c^2 (||J||_F^2 - ||J||_sp^2).
+    """
     x = np.asarray(x, dtype=np.float64)
     tr = mlp.forward(model, x)
     p = tr.posteriors[0]
@@ -235,21 +229,11 @@ def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource
     gaps = np.empty((trials, 4))
     for t in range(trials):
         eps = gaussian_vec(rng.split(t), x.size, 1.0)
-        nrm = np.linalg.norm(eps)
-        if nrm == 0.0:
-            continue
-        eps *= radius / nrm
+        eps *= radius / np.linalg.norm(eps)
         q = mlp.posterior(model, x + eps)
         l1, l2 = l1_distance(p, q), l2_distance(p, q)
         two_kl = 2.0 * kl_divergence(p, q)
         jeps_sq = float(np.sum((jac @ eps) ** 2))
         gaps[t] = (two_kl - l2 * l2, two_kl - l1 * l1, l1 * l1 - l2 * l2,
                    (radius * sp) ** 2 - jeps_sq)
-    mins = gaps.min(axis=0)
-    return BoundCheck(
-        worst_gap=float(mins[0]),
-        min_kl_l1_gap=float(mins[1]),
-        min_l1_l2_gap=float(mins[2]),
-        min_spectral_gap=float(mins[3]),
-        min_frobenius_gap=float(radius * radius * (fro * fro - sp * sp)),
-    )
+    return float(np.min(gaps, initial=radius * radius * (fro * fro - sp * sp)))

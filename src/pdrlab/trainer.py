@@ -26,6 +26,8 @@ LR_DECAY_KINDS = ("none", "linear")
 # stream tags under the config seed
 _SHUFFLE, _PENALTY, _INIT = 0, 1, 2
 
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decays and floor: Kingma & Ba's defaults
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -77,16 +79,13 @@ def adam_init(model: mlp.MlpModel):
     return 0, np.zeros(model.params.size), np.zeros(model.params.size)
 
 
-def adam_step(state, grads: np.ndarray, learning_rate: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected moment update; returns (state, update to subtract).
-
-    `train` always takes the defaults, Kingma & Ba's."""
+def adam_step(state, grads: np.ndarray, learning_rate: float):
+    """One bias-corrected moment update; returns (state, update to subtract)."""
     t, m, v = state
     t += 1
-    m = beta1 * m + (1.0 - beta1) * grads
-    v = beta2 * v + (1.0 - beta2) * grads * grads
-    update = learning_rate * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    m = _BETA1 * m + (1.0 - _BETA1) * grads
+    v = _BETA2 * v + (1.0 - _BETA2) * grads * grads
+    update = learning_rate * (m / (1.0 - _BETA1 ** t)) / (np.sqrt(v / (1.0 - _BETA2 ** t)) + _ADAM_EPS)
     return (t, m, v), update
 
 
@@ -130,6 +129,8 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
     """Run the full protocol; returns the final model and per-epoch metrics."""
     t_start = time.monotonic()
     spec = cfg.regularizer
+    if ds.n_examples == 0:
+        raise ValueError("dataset has no examples")
     if ds.n_features != model0.n_inputs:
         raise ValueError(f"dataset has {ds.n_features} features, model expects {model0.n_inputs}")
     labeled = ds.labels != UNLABELED

@@ -84,9 +84,8 @@ def test_criterion_02_distance_and_jacobian_chains():
     worst = math.inf
     for i in range(1000):
         model, x = props._model_instance(rng, i)
-        chk = l2_vs_kl_bound_check(model, x, radius=0.1, trials=1, rng=rng.split(9, i))
-        worst = min(worst, chk.worst_gap, chk.min_kl_l1_gap, chk.min_l1_l2_gap,
-                    chk.min_spectral_gap, chk.min_frobenius_gap)
+        slack = l2_vs_kl_bound_check(model, x, radius=0.1, trials=1, rng=rng.split(9, i))
+        worst = props._min_or_nan(worst, slack)  # Python's min would drop a NaN slack
     elapsed = time.time() - t0
     ok = worst >= -1e-10 and elapsed < 60.0
     _verdict(2, "distance and jacobian chains", ok,
@@ -136,9 +135,9 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         model, x = props._model_instance(rng.split(1), i)
         g = rng.split(1, i, 5).generator()
         label = int(g.integers(model.n_classes))
-        _, grads, _ = mlp.backward_ce(model, mlp.forward(model, x), label)
+        _, grads, _ = mlp.backward_ce_batch(model, mlp.forward(model, x), [label])
         fd = props._fd_param_grads(
-            lambda mm: mlp.backward_ce(mm, mlp.forward(mm, x), label)[0], model)
+            lambda mm: mlp.backward_ce_batch(mm, mlp.forward(mm, x), [label])[0][0], model)
         worst_ce = max(worst_ce, props._grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)

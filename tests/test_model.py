@@ -91,11 +91,6 @@ def test_forward_is_the_one_row_batch_trace():
     assert isinstance(tr, mlp.BatchTrace)
     assert tr.inputs.shape == (1, 2) and tr.posteriors.shape == (1, m.n_classes)
     assert np.array_equal(mlp.posterior(m, x), tr.posteriors[0])
-    with pytest.raises(ValueError, match="one-row"):
-        mlp.backward_ce(m, mlp.forward_batch(m, np.zeros((2, 2))), 0)
-    with pytest.raises(ValueError, match="one-row"):
-        mlp.backward_scalar_of_posterior(m, mlp.forward_batch(m, np.zeros((2, 2))),
-                                          np.ones(m.n_classes))
 
 
 def test_forward_matches_manual_composition():
@@ -150,10 +145,11 @@ def test_linear_model_no_hidden_layers():
 def test_ce_loss_value():
     m = small_model(13)
     x = np.array([0.4, 0.9])
-    loss, grads, input_grad = mlp.backward_ce(m, mlp.forward(m, x), 1)
-    assert loss == pytest.approx(-math.log(mlp.posterior(m, x)[1]), abs=1e-12)
+    losses, grads, input_grads = mlp.backward_ce_batch(m, mlp.forward(m, x), [1])
+    assert losses.shape == (1,)
+    assert losses[0] == pytest.approx(-math.log(mlp.posterior(m, x)[1]), abs=1e-12)
     assert grads.shape == m.params.shape
-    assert input_grad.shape == (2,)
+    assert input_grads.shape == (1, 2)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 4, 3), (3, 5, 4, 2)])
@@ -166,14 +162,15 @@ def test_ce_grads_match_fd(dims):
         tr = mlp.forward(mm, x)
         return -math.log(tr.posteriors[0, label])
 
-    _, grads, _ = mlp.backward_ce(m, mlp.forward(m, x), label)
+    _, grads, _ = mlp.backward_ce_batch(m, mlp.forward(m, x), [label])
     assert_grads_close(grads, fd_param_grads(value, m))
 
 
 def test_ce_input_grad_matches_fd():
     m = small_model(19)
     x = np.array([0.2, -0.7])
-    _, _, input_grad = mlp.backward_ce(m, mlp.forward(m, x), 0)
+    _, _, input_grads = mlp.backward_ce_batch(m, mlp.forward(m, x), [0])
+    input_grad = input_grads[0]
     h = 1e-6
     for j in range(2):
         e = np.zeros(2)
@@ -184,8 +181,12 @@ def test_ce_input_grad_matches_fd():
 
 def test_ce_label_out_of_range():
     m = small_model()
-    with pytest.raises(ValueError):
-        mlp.backward_ce(m, mlp.forward(m, np.zeros(2)), 5)
+    one_row = mlp.forward(m, np.zeros(2))
+    two_rows = mlp.forward_batch(m, np.zeros((2, 2)))
+    # label m, label -1 (would index the last class), one label for two rows (would broadcast)
+    for tr, labels in ((one_row, [m.n_classes]), (one_row, [-1]), (two_rows, [0])):
+        with pytest.raises(ValueError, match="labels must be"):
+            mlp.backward_ce_batch(m, tr, labels)
 
 
 def test_scalar_of_posterior_grads_match_fd():
@@ -196,7 +197,7 @@ def test_scalar_of_posterior_grads_match_fd():
     def value(mm):
         return float(seed @ mlp.posterior(mm, x))
 
-    grads, _ = mlp.backward_scalar_of_posterior(m, mlp.forward(m, x), seed)
+    grads, _ = mlp.backward_scalar_of_posterior_batch(m, mlp.forward(m, x), seed[None, :])
     assert_grads_close(grads, fd_param_grads(value, m))
 
 

@@ -122,6 +122,23 @@ def test_nan_ce_gradient_is_caught(monkeypatch):
     assert "ce_grads_match_fd" in _failed(run_suite("jacobian", trials=40, seed=1))
 
 
+@pytest.mark.parametrize("fn, k, row", [  # k: where the flat parameter grads sit in fn's result
+    ("backward_ce_batch", 1, "ce_grads_match_fd"),
+    ("backward_scalar_of_posterior_batch", 0, "posterior_scalar_grads_match_fd"),
+    ("jacobian_sq_norm_grads_batch", 1, "jacobian_norm_grads_match_fd"),
+])
+def test_scaled_gradient_is_caught(monkeypatch, fn, k, row):
+    # parameter grads 1e-3 too large, 10x the FD gate, fail their check and no other
+    clean = getattr(mlp, fn)
+
+    def scaled(*args, **kwargs):
+        out = clean(*args, **kwargs)
+        return out[:k] + ((1 + 1e-3) * out[k],) + out[k + 1:]
+
+    monkeypatch.setattr(mlp, fn, scaled)
+    assert _failed(run_suite("jacobian", trials=40, seed=1)) == {row}
+
+
 @pytest.mark.parametrize("seed", [34, 80521325])
 def test_vat_suite_passes_where_the_plain_mc_mean_missed_the_gate(seed):
     # the 1000-draw plain mean of D read 0.108 and 0.136 relative error here

@@ -406,9 +406,5 @@ def test_divergence_approaches_quadratic_at_small_radius(kind):
 def test_bound_check_gaps_are_nonnegative():
     m = small_model(71, dims=(3, 6, 3))
     x = np.array([0.2, 0.4, -0.1])
-    chk = l2_vs_kl_bound_check(m, x, radius=0.1, trials=50, rng=RandomSource(28))
-    assert chk.worst_gap >= -1e-10
-    assert chk.min_kl_l1_gap >= -1e-10
-    assert chk.min_l1_l2_gap >= -1e-10
-    assert chk.min_spectral_gap >= -1e-10
-    assert chk.min_frobenius_gap >= -1e-10
+    # one minimum over every link of both chains; a NaN in any link fails the comparison
+    assert l2_vs_kl_bound_check(m, x, radius=0.1, trials=50, rng=RandomSource(28)) >= -1e-10

@@ -62,7 +62,7 @@ def test_adam_first_step_is_signlike():
     state = adam_init(m)
     gw, gb = np.array([[0.5, -2.0], [0.0, 1e-3]]), np.array([3.0, -4.0])
     g = mlp.pack_params(m.layer_dims, (gw,), (gb,))
-    state2, upd = adam_step(state, g, learning_rate=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    state2, upd = adam_step(state, g, learning_rate=0.1)
     assert state2[0] == 1
     upd_w, upd_b = mlp.unflatten(m.layer_dims, upd)
     # after bias correction the first update is lr * g / (|g| + eps)
@@ -241,6 +241,11 @@ def test_train_validates_dataset_against_model(monkeypatch):
     for name, bad in bad_sets.items():
         with pytest.raises(ValueError, match=f"eval set '{name}'"):
             train(model, ds, quick_config(), eval_sets={"ok": ds, name: bad})
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, int), 2, {})
+    for kind in ("none", "jr"):
+        cfg = TrainConfig(epochs=1, regularizer=RegularizerSpec(kind))
+        with pytest.raises(ValueError, match="dataset has no examples"):
+            train(model, empty, cfg)
 
 
 # ---------------------------------------------------------------- metrics doc
