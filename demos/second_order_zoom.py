@@ -37,5 +37,6 @@ for kind, gen in GENERATORS.items():
     r = quadratic_penalty(model, x, gen, eps) / q_kl
     print(f"  {kind:4s} {r:.4f}   (g''(1) = {gen.curvature_at_one})")
 print()
-print("so to first order the four penalties differ only by a constant,")
-print("and any of them can stand in for the Jacobian regularizer.")
+print("so to leading order the four penalties differ only by the constant g''(1).")
+print("Their common form weights each class row of J by 1/p, so it is not")
+print("jr's unweighted ||J||_F^2: a row whose class is unlikely counts for more.")

@@ -20,26 +20,28 @@ UNLABELED = -1  # marks an unlabeled example, in memory and on disk
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, d)
+    features: np.ndarray  # (n, d) read-only float64, a copy of what the caller passed
     labels: np.ndarray  # (n,) read-only int64, a class id or UNLABELED per example
     n_classes: int
     provenance: dict
 
     def __post_init__(self):
+        features = np.array(self.features, dtype=np.float64)  # the caller's array stays writable
         labels = np.array(self.labels)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         labels = labels.astype(np.int64, copy=False)
-        if self.features.ndim != 2 or labels.shape != (self.features.shape[0],):
+        if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features and labels disagree on example count")
-        if not np.all(np.isfinite(self.features)):
+        if not np.all(np.isfinite(features)):
             raise ValueError("features have non-finite entries")
         if labels.size and (labels.min() < UNLABELED or labels.max() >= self.n_classes):
             raise ValueError(f"labels must lie in [{UNLABELED}, {self.n_classes}), "
                              f"got {labels.min()}..{labels.max()}")
+        features.setflags(write=False)
         labels.setflags(write=False)
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        self.features.setflags(write=False)
 
     @property
     def n_examples(self) -> int:

@@ -312,8 +312,15 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> MlpModel:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model document must be a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
+    for key in ("layer_dims", "weights", "biases"):
+        if key not in doc:
+            raise ValueError(f"model document lacks {key}")
+        if not isinstance(doc[key], list):
+            raise ValueError(f"model document's {key} must be a list, got {type(doc[key]).__name__}")
     dims = tuple(int(d) for d in doc["layer_dims"])
     return MlpModel(dims, pack_params(dims, doc["weights"], doc["biases"]))
 

@@ -3,8 +3,8 @@
 Three penalties, all measuring how much the posterior moves under an input
 perturbation:
 
-  jr   -- squared Frobenius norm of the posterior's input Jacobian, the
-          second-order limit of the divergence penalties;
+  jr   -- squared Frobenius norm ||J||_F^2 of the posterior's input
+          Jacobian, every class row weighted alike;
   rpt  -- f-divergence between the posterior at a Gaussian draw and at the
           clean input;
   vat  -- the same divergence at an adversarial perturbation found by

@@ -281,6 +281,19 @@ def test_eval_missing_model_is_runtime_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, fragment", [
+    ([], "must be a JSON object"),
+    ({"format_version": 1, "layer_dims": [2, 2], "biases": [[0.0, 0.0]]}, "lacks weights"),
+], ids=["list", "no-weights"])
+def test_eval_malformed_model_is_runtime_error(tmp_path, capsys, doc, fragment):
+    data, model = tmp_path / "d.csv", tmp_path / "m.json"
+    run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_main(["eval", "--model", str(model), "--data", str(data)]) == 3
+    assert fragment in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config parser
 
 def test_parse_config_values_and_comments():

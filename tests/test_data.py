@@ -29,6 +29,15 @@ def test_labels_are_a_read_only_int64_vector():
     assert ds.labeled_indices().tolist() == [0, 2]
 
 
+def test_features_are_a_read_only_copy():
+    raw = np.zeros((3, 2))
+    ds = Dataset(raw, [0, 1, 0], 2, {})
+    raw[0, 0] = 1.0  # the caller's array stays writable
+    assert ds.features is not raw
+    assert ds.features[0, 0] == 0.0
+    assert not ds.features.flags.writeable
+
+
 def test_labels_below_the_sentinel_are_rejected():
     with pytest.raises(ValueError, match="labels must lie in"):
         Dataset(np.zeros((2, 2)), (0, -2), 2, {})

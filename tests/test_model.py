@@ -380,3 +380,17 @@ def test_model_from_dict_rejects_mismatched_shapes():
     doc["layer_dims"] = [2, 5, 3]
     with pytest.raises(ValueError):
         mlp.model_from_dict(doc)
+
+
+@pytest.mark.parametrize("malform, fragment", [
+    (lambda doc: [doc], "must be a JSON object"),
+    (lambda doc: None, "must be a JSON object"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "layer_dims"}, "lacks layer_dims"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "weights"}, "lacks weights"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "biases"}, "lacks biases"),
+    (lambda doc: {**doc, "layer_dims": 5}, "layer_dims must be a list, got int"),
+    (lambda doc: {**doc, "weights": 3.0}, "weights must be a list, got float"),
+], ids=["list", "null", "no-layer_dims", "no-weights", "no-biases", "int-layer_dims", "float-weights"])
+def test_model_from_dict_rejects_a_malformed_document(malform, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        mlp.model_from_dict(malform(mlp.model_to_dict(small_model())))

@@ -43,7 +43,7 @@ def test_all_runs_every_suite_in_order():
     # list the moved lines in CHANGES.md.
     text = "".join(f"{r.name} {r.slack!r} {r.detail}\n" for r in all_results)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "64ea20e799ffd138e39d3ec2671edffe6bd2c318b16199ad67a6088966cf3c6f")
+        "55ede6187965d5e1be4b11d8ab5e482e0cffba26984f1d1fe8be554089e0f9d4")
 
 
 def test_suites_are_deterministic():
@@ -137,6 +137,49 @@ def test_scaled_gradient_is_caught(monkeypatch, fn, k, row):
 
     monkeypatch.setattr(mlp, fn, scaled)
     assert _failed(run_suite("jacobian", trials=40, seed=1)) == {row}
+
+
+@pytest.mark.parametrize("suite, seed", [("divergence", 89), ("jacobian", 104), ("jacobian", 139),
+                                         ("jacobian", 786)])
+def test_suite_passes_where_a_fixed_step_or_ratio_failed(suite, seed):
+    # 89: central-difference truncation on an RKL instance with min p_hat = 9.3e-4;
+    # 139: a directional derivative of 1.65e-6, so FD error looked large next to it;
+    # 104 and 786: quadratic and cubic Taylor terms nearly cancel at t = 1e-2
+    assert _failed(run_suite(suite, trials=100, seed=seed)) == set()
+
+
+def test_scaled_divergence_gradient_is_caught(monkeypatch):
+    clean = properties.f_divergence_grad_wrt_phat
+    monkeypatch.setattr(properties, "f_divergence_grad_wrt_phat",
+                        lambda gen, p_hat, p: (1 + 1e-5) * clean(gen, p_hat, p))
+    assert _failed(run_suite("divergence", trials=40, seed=1)) == {"divergence_grad_matches_fd"}
+
+
+def _largest_entry_scaled(jac):
+    jac = jac.copy()
+    jac[np.unravel_index(np.argmax(np.abs(jac)), jac.shape)] *= 1 + 1e-5
+    return jac
+
+
+def _first_order_error(jac):
+    # the posterior then moves by (J + 1e-5 max|J| I) eps to first order, not J eps
+    return jac + 1e-5 * np.max(np.abs(jac)) * np.eye(*jac.shape)
+
+
+# Every row that reads input_jacobian at a 1e-12 or first-order gate sees a
+# planted Jacobian error, so the rows it fails are pinned as a set.
+_JACOBIAN_ROWS = {"jacobian_rows_sum_to_zero", "jacobian_matches_fd",
+                  "single_layer_jacobian_closed_form", "posterior_taylor_remainder_quadratic"}
+
+
+@pytest.mark.parametrize("plant, row", [(_largest_entry_scaled, "jacobian_matches_fd"),
+                                        (_first_order_error, "posterior_taylor_remainder_quadratic")])
+def test_planted_jacobian_error_is_caught(monkeypatch, plant, row):
+    clean = mlp.input_jacobian
+    monkeypatch.setattr(mlp, "input_jacobian", lambda model, x: plant(clean(model, x)))
+    results = {r.name: r for r in run_suite("jacobian", trials=40, seed=1)}
+    assert {name for name, r in results.items() if not r.passed} == _JACOBIAN_ROWS
+    assert results[row].slack < -1e-6
 
 
 @pytest.mark.parametrize("seed", [34, 80521325])
