@@ -10,6 +10,8 @@ gradient of its squared norm is one reverse sweep over that accumulation.
 `forward`, `posterior` and `input_jacobian` take one 1-D example, and `forward`
 returns its one-row BatchTrace. Gradients come from the *_batch functions, one
 example per row; one example's gradients are theirs on its one-row trace.
+`_forward_core` and `_tangent` also take a (T, 1, n) stack of one-row inputs,
+each of which rounds exactly as it does alone; a (T, n) GEMM may not.
 """
 
 from __future__ import annotations
@@ -321,7 +323,9 @@ def model_from_dict(doc: dict) -> MlpModel:
             raise ValueError(f"model document lacks {key}")
         if not isinstance(doc[key], list):
             raise ValueError(f"model document's {key} must be a list, got {type(doc[key]).__name__}")
-    dims = tuple(int(d) for d in doc["layer_dims"])
+    dims = doc["layer_dims"]
+    if not all(type(d) is int for d in dims):  # no bool, float or null
+        raise ValueError(f"model document's layer_dims must hold integers, got {dims!r}")
     return MlpModel(dims, pack_params(dims, doc["weights"], doc["biases"]))
 
 

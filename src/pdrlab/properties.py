@@ -28,6 +28,7 @@ from .divergences import (
 from .regularizers import (
     PerturbationConfig,
     RegularizerSpec,
+    _quadratic_form,
     jr_penalty,
     l2_vs_kl_bound_check,
     quadratic_penalty,
@@ -47,6 +48,11 @@ from .tensor import (
 
 SUITE_NAMES = ("divergence", "jacobian", "vat", "spans")
 _FALSE_ALARM = 1e-6  # chance that rpt_draw_second_moment fails on correct draws
+_FD_STEP = 1e-5  # central-difference step of the parameter-FD rows
+_FD_GATE = 1e-4  # relative error those rows allow
+# rounding puts about 10 u / _FD_STEP (u = 2**-53, values of order one) into each
+# FD entry, so a smaller largest entry cannot be resolved to _FD_GATE
+_FD_SCALE_FLOOR = 10 * 2.0**-53 / (_FD_STEP * _FD_GATE)
 
 
 @dataclass
@@ -140,23 +146,23 @@ def _decade_law(divergence_at, q: float):
     return drift, 1e-3 * max(q, 1e-9) - abs(d / t / t - q), ratios[1]
 
 
-def _fd_param_grads(value_fn, model, h: float = 1e-5) -> np.ndarray:
+def _fd_param_grads(value_fn, model) -> np.ndarray:
     """Centered finite differences of value_fn over every entry of
     model.params, for any model with `params` and `with_params`.
     """
     grads = np.empty(model.params.size)
     for k in range(model.params.size):
         up, down = model.params.copy(), model.params.copy()
-        up[k] += h
-        down[k] -= h
-        grads[k] = (value_fn(model.with_params(up)) - value_fn(model.with_params(down))) / (2 * h)
+        up[k] += _FD_STEP
+        down[k] -= _FD_STEP
+        grads[k] = (value_fn(model.with_params(up)) - value_fn(model.with_params(down))) / (2 * _FD_STEP)
     return grads
 
 
 def _grad_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     """Max entry deviation of a flat analytic derivative from its FD estimate,
-    relative to the largest FD entry."""
-    scale = max(1e-8, float(np.max(np.abs(fd))))
+    relative to the largest FD entry or _FD_SCALE_FLOOR, whichever is larger."""
+    scale = max(_FD_SCALE_FLOOR, float(np.max(np.abs(fd))))
     return float(np.max(np.abs(analytic - fd))) / scale
 
 
@@ -360,10 +366,10 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         res = jr_penalty(model, x)
         fd = _fd_param_grads(lambda mm: float(np.sum(mlp.input_jacobian(mm, x) ** 2)), model)
         jr_err = _max_or_nan(jr_err, _grad_rel_err(res.param_grads, fd))
-    out.append(PropertyResult("ce_grads_match_fd", 1e-4 - ce_err, f"max relative deviation = {ce_err:.3e}"))
-    out.append(PropertyResult("posterior_scalar_grads_match_fd", 1e-4 - seed_err,
+    out.append(PropertyResult("ce_grads_match_fd", _FD_GATE - ce_err, f"max relative deviation = {ce_err:.3e}"))
+    out.append(PropertyResult("posterior_scalar_grads_match_fd", _FD_GATE - seed_err,
                               f"max relative deviation = {seed_err:.3e}"))
-    out.append(PropertyResult("jacobian_norm_grads_match_fd", 1e-4 - jr_err,
+    out.append(PropertyResult("jacobian_norm_grads_match_fd", _FD_GATE - jr_err,
                               f"max relative deviation = {jr_err:.3e}"))
 
     closed_dev = 0.0
@@ -439,11 +445,9 @@ def _steep_boundary_instance(rng: RandomSource, i: int):
     base = _random_model(rng.split(i), n_in, hidden, m)
     model = mlp.MlpModel(base.layer_dims, mlp.pack_params(
         base.layer_dims, [w * 10.0 for w in base.weights], [b * 0.5 for b in base.biases]))
-    for attempt in range(400):
-        cand = gaussian_vec(rng.split(i, 7, attempt), n_in)
-        if float(mlp.posterior(model, cand).min()) > 0.25:
-            return model, cand
-    return None, None
+    cands = gaussian_rows(rng.split(i, 7).split_rows(np.arange(400)), n_in)
+    ok = np.flatnonzero(mlp.forward_batch(model, cands).posteriors.min(axis=1) > 0.25)
+    return (model, cands[ok[0]]) if ok.size else (None, None)
 
 
 def _second_order_instance(rng: RandomSource, i: int):
@@ -452,7 +456,9 @@ def _second_order_instance(rng: RandomSource, i: int):
         model, x = _model_instance(rng.split(i, attempt), i)
         eps = gaussian_vec(rng.split(i, attempt, 1), x.size)
         eps /= np.linalg.norm(eps)
-        q = {kind: quadratic_penalty(model, x, gen, eps) for kind, gen in GENERATORS.items()}
+        tr = mlp.forward(model, x)
+        _, dz = mlp._tangent(model, tr, eps[None, :])
+        q = {kind: _quadratic_form(gen, tr.posteriors, dz) for kind, gen in GENERATORS.items()}
         if min(q.values()) > 1e-3:
             return model, x, eps, q
     raise RuntimeError("could not draw a non-degenerate quadratic form")
@@ -482,8 +488,9 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     n_draws = max(1000, trials)
     for i, kind in enumerate(("KL", "JSD", "SHL")):
         model, x, eps, _ = _second_order_instance(rng.split(31), i)
+        tr = mlp.forward(model, x)
         jac = mlp.input_jacobian(model, x)
-        f = np.maximum(mlp.posterior(model, x), PROB_FLOOR)
+        f = np.maximum(tr.posteriors[0], PROB_FLOOR)
         trace = float(np.sum(jac * jac / f[:, None]))
         gen = GENERATORS[kind]
         expected = 0.5 * gen.curvature_at_one * c * c * trace
@@ -493,7 +500,8 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         src = rng.split(31, i, 8)
         mc = rpt_penalty(model, x, spec, src).value
         draws = gaussian_rows(src.split_rows(np.arange(n_draws)), x.size, c)  # rpt_penalty's draws
-        q_mean = float(np.mean([quadratic_penalty(model, x, gen, e) for e in draws]))
+        _, dz = mlp._tangent(model, tr, draws[:, None, :])  # one-row tangents, stacked
+        q_mean = _quadratic_form(gen, tr.posteriors, dz) / n_draws
         estimate = mc - q_mean + expected
         mc_err = _max_or_nan(mc_err, abs(estimate - expected) / expected)
         sq_norms += float(np.sum(draws * draws)) / (c * c)
@@ -582,9 +590,9 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             vres = vat_penalty(model, x, vspec, src)
             fd = _fd_param_grads(lambda mm: frozen(mm, eps=vres.adversarial_direction), model)
             vat_err = _max_or_nan(vat_err, _grad_rel_err(vres.param_grads, fd))
-    out.append(PropertyResult("rpt_grads_match_fd", 1e-4 - rpt_err,
+    out.append(PropertyResult("rpt_grads_match_fd", _FD_GATE - rpt_err,
                               f"max relative deviation = {rpt_err:.3e}"))
-    out.append(PropertyResult("vat_grads_match_fd", 1e-4 - vat_err,
+    out.append(PropertyResult("vat_grads_match_fd", _FD_GATE - vat_err,
                               f"max relative deviation = {vat_err:.3e}"))
     return out
 
@@ -703,9 +711,9 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             return float(np.sum(f_divergence(GENERATORS["KL"], trn.probs, p_clean)))
 
         pen_err = _max_or_nan(pen_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
-    out.append(PropertyResult("span_loss_grads_match_fd", 1e-4 - loss_err,
+    out.append(PropertyResult("span_loss_grads_match_fd", _FD_GATE - loss_err,
                               f"max relative deviation = {loss_err:.3e}"))
-    out.append(PropertyResult("span_penalty_grads_match_fd", 1e-4 - pen_err,
+    out.append(PropertyResult("span_penalty_grads_match_fd", _FD_GATE - pen_err,
                               f"max relative deviation = {pen_err:.3e}"))
 
     model = _random_span_model(rng.split(45))

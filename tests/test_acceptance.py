@@ -8,6 +8,7 @@ constants so drift is easy to diagnose. Everything here is deterministic in
 the seeds written below.
 """
 
+import functools
 import json
 import math
 import subprocess
@@ -292,13 +293,20 @@ def _train_moons(spec, seed, ds=None):
     return evaluate(run.model, test).accuracy
 
 
+@functools.lru_cache(maxsize=None)
+def _trend_accuracy(spec, seed):
+    """Test accuracy of one criterion-06 run; criterion 08's fully labeled STD
+    baseline is the same run (same data, init seed and config), so it is shared."""
+    return _train_moons(spec, seed)
+
+
 def test_criterion_06_in_domain_trend():
     # calibrated means: STD 92.21, RPT_KL 93.07, RPT_JSD 93.35,
     #                   VAT_KL 93.29, VAT_JSD 93.85
     t0 = time.time()
     means = {}
     for name, spec in _trend_variants().items():
-        means[name] = float(np.mean([_train_moons(spec, s) for s in _TREND_SEEDS]))
+        means[name] = float(np.mean([_trend_accuracy(spec, s) for s in _TREND_SEEDS]))
     elapsed = time.time() - t0
     others = {k: v for k, v in means.items() if k != "STD"}
     ok = (means["VAT_JSD"] >= means["VAT_KL"] - 0.005
@@ -337,12 +345,13 @@ def test_criterion_08_semi_supervised_matches_fully_labeled():
     # calibrated means: STD fully labeled 92.21, VAT_KL half labels 93.04,
     # VAT_JSD half labels 92.90; the penalty covers unlabeled rows, so the
     # best VAT run must land within 1pp of (here: above) the labeled baseline
+    # (its STD runs are criterion 06's, shared through _trend_accuracy)
     t0 = time.time()
     std_accs, kl_accs, jsd_accs = [], [], []
     for s in _TREND_SEEDS:
         ds = make_two_moons(200, 0.25, seed=s)
         semi = withhold_labels(ds, 0.5, seed=s)
-        std_accs.append(_train_moons(RegularizerSpec(kind="none"), s, ds=ds))
+        std_accs.append(_trend_accuracy(RegularizerSpec(kind="none"), s))
         kl_accs.append(_train_moons(
             RegularizerSpec("vat", "KL", alpha=_TREND_ALPHA_KL, perturbation=_trend_pert()),
             s, ds=semi))

@@ -284,7 +284,11 @@ def test_eval_missing_model_is_runtime_error(tmp_path, capsys):
 @pytest.mark.parametrize("doc, fragment", [
     ([], "must be a JSON object"),
     ({"format_version": 1, "layer_dims": [2, 2], "biases": [[0.0, 0.0]]}, "lacks weights"),
-], ids=["list", "no-weights"])
+    ({"format_version": 1, "layer_dims": [None, 2], "weights": [[[0.0, 0.0], [0.0, 0.0]]],
+      "biases": [[0.0, 0.0]]}, "layer_dims must hold integers"),
+    ({"format_version": 1, "layer_dims": [2.7, 2], "weights": [[[0.0, 0.0], [0.0, 0.0]]],
+      "biases": [[0.0, 0.0]]}, "layer_dims must hold integers"),
+], ids=["list", "no-weights", "null-dim", "float-dim"])
 def test_eval_malformed_model_is_runtime_error(tmp_path, capsys, doc, fragment):
     data, model = tmp_path / "d.csv", tmp_path / "m.json"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])

@@ -390,7 +390,10 @@ def test_model_from_dict_rejects_mismatched_shapes():
     (lambda doc: {k: v for k, v in doc.items() if k != "biases"}, "lacks biases"),
     (lambda doc: {**doc, "layer_dims": 5}, "layer_dims must be a list, got int"),
     (lambda doc: {**doc, "weights": 3.0}, "weights must be a list, got float"),
-], ids=["list", "null", "no-layer_dims", "no-weights", "no-biases", "int-layer_dims", "float-weights"])
+    (lambda doc: {**doc, "layer_dims": [None, 2]}, "layer_dims must hold integers"),
+    (lambda doc: {**doc, "layer_dims": [2.7, 2]}, "layer_dims must hold integers"),
+], ids=["list", "null", "no-layer_dims", "no-weights", "no-biases", "int-layer_dims", "float-weights",
+        "null-dim", "float-dim"])
 def test_model_from_dict_rejects_a_malformed_document(malform, fragment):
     with pytest.raises(ValueError, match=fragment):
         mlp.model_from_dict(malform(mlp.model_to_dict(small_model())))

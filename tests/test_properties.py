@@ -7,7 +7,7 @@ import pytest
 
 from pdrlab import model as mlp
 from pdrlab import properties, regularizers, tensor
-from pdrlab.divergences import GENERATORS, KL, Generator
+from pdrlab.divergences import GENERATORS, KL, Generator, kl_divergence, l1_distance, l2_distance
 from pdrlab.properties import (
     SUITE_NAMES,
     PropertyResult,
@@ -140,12 +140,28 @@ def test_scaled_gradient_is_caught(monkeypatch, fn, k, row):
 
 
 @pytest.mark.parametrize("suite, seed", [("divergence", 89), ("jacobian", 104), ("jacobian", 139),
-                                         ("jacobian", 786)])
+                                         ("jacobian", 786), ("vat", 317), ("vat", 809)])
 def test_suite_passes_where_a_fixed_step_or_ratio_failed(suite, seed):
     # 89: central-difference truncation on an RKL instance with min p_hat = 9.3e-4;
     # 139: a directional derivative of 1.65e-6, so FD error looked large next to it;
-    # 104 and 786: quadratic and cubic Taylor terms nearly cancel at t = 1e-2
+    # 104 and 786: quadratic and cubic Taylor terms nearly cancel at t = 1e-2;
+    # 317 and 809: rpt/vat parameter gradients of at most 8e-9, below what a
+    # central difference at step 1e-5 resolves to 1e-4 relative
     assert _failed(run_suite(suite, trials=100, seed=seed)) == set()
+
+
+@pytest.mark.parametrize("fn, row", [("rpt_penalty", "rpt_grads_match_fd"),
+                                     ("vat_penalty", "vat_grads_match_fd")])
+def test_scaled_penalty_gradient_is_caught(monkeypatch, fn, row):
+    # the FD rows' scale floor must leave a 1e-3 gradient error visible
+    clean = getattr(properties, fn)
+
+    def scaled(*args, **kwargs):
+        res = clean(*args, **kwargs)
+        return replace(res, param_grads=(1 + 1e-3) * res.param_grads)
+
+    monkeypatch.setattr(properties, fn, scaled)
+    assert _failed(run_suite("vat", trials=40, seed=1)) == {row}
 
 
 def test_scaled_divergence_gradient_is_caught(monkeypatch):
@@ -244,3 +260,71 @@ def test_result_rows_have_details():
     assert "second_order_law_decades" in by_name
     assert by_name["second_order_law_decades"].detail
     assert isinstance(results[0], PropertyResult)
+
+
+def _bound_check_loop(model, x, radius, trials, rng):
+    """The reference `l2_vs_kl_bound_check` must match bit for bit: one draw,
+    one forward pass and one slack row per trial."""
+    x = np.asarray(x, dtype=np.float64)
+    tr = mlp.forward(model, x)
+    p = tr.posteriors[0]
+    jac = mlp.input_jacobian_batch(model, tr)[0]
+    sp, fro = tensor.spectral_norm(jac), tensor.frobenius_norm(jac)
+    gaps = np.empty((trials, 4))
+    for t in range(trials):
+        eps = tensor.gaussian_vec(rng.split(t), x.size, 1.0)
+        eps *= radius / np.linalg.norm(eps)
+        q = mlp.posterior(model, x + eps)
+        l1, l2 = l1_distance(p, q), l2_distance(p, q)
+        two_kl = 2.0 * kl_divergence(p, q)
+        jeps_sq = float(np.sum((jac @ eps) ** 2))
+        gaps[t] = (two_kl - l2 * l2, two_kl - l1 * l1, l1 * l1 - l2 * l2, (radius * sp) ** 2 - jeps_sq)
+    return float(np.min(gaps, initial=radius * radius * (fro * fro - sp * sp)))
+
+
+@pytest.mark.parametrize("trials", [0, 1, 5, 50])
+def test_bound_check_matches_the_per_draw_loop(trials):
+    rng = tensor.RandomSource(11)
+    for i in range(200):
+        model, x = properties._model_instance(rng.split(25), i)
+        want = _bound_check_loop(model, x, 0.1, trials, rng.split(25, i, 9))
+        got = regularizers.l2_vs_kl_bound_check(model, x, 0.1, trials, rng.split(25, i, 9))
+        assert got.hex() == want.hex(), (i, got, want)
+
+
+def _steep_boundary_loop(rng, i):
+    """The reference `properties._steep_boundary_instance` must match: draw and
+    score one candidate at a time, and stop at the first that passes."""
+    n_in, hidden, m = ((2, (5,), 2), (3, (6,), 2), (4, (5, 4), 2))[i % 3]
+    base = properties._random_model(rng.split(i), n_in, hidden, m)
+    model = mlp.MlpModel(base.layer_dims, mlp.pack_params(
+        base.layer_dims, [w * 10.0 for w in base.weights], [b * 0.5 for b in base.biases]))
+    for attempt in range(400):
+        cand = tensor.gaussian_vec(rng.split(i, 7, attempt), n_in)
+        if float(mlp.posterior(model, cand).min()) > 0.25:
+            return model, cand
+    return None, None
+
+
+def test_steep_boundary_instance_matches_the_rejection_loop():
+    found = 0
+    for seed in (1, 2):
+        rng = tensor.RandomSource(seed).split(33)
+        for i in range(200):
+            want_model, want_x = _steep_boundary_loop(rng, i)
+            got_model, got_x = properties._steep_boundary_instance(rng, i)
+            if want_model is None:
+                assert got_model is None and got_x is None
+                continue
+            found += 1
+            assert np.array_equal(got_model.params, want_model.params)
+            assert got_x.tobytes() == want_x.tobytes()
+    assert found >= 300  # most instances find a point near the boundary
+
+
+def test_second_order_instance_forms_match_quadratic_penalty():
+    rng = tensor.RandomSource(3).split(26)
+    for i in range(200):
+        model, x, eps, q = properties._second_order_instance(rng, i)
+        for kind, gen in GENERATORS.items():
+            assert q[kind] == regularizers.quadratic_penalty(model, x, gen, eps)
