@@ -26,6 +26,16 @@ class ConfigError(ValueError):
     """Bad key, value, or structure in a config file or flag value."""
 
 
+# RandomSource keys hold a seed mod 2**64, so a seed outside [0, 2**64) would
+# print the bytes of another seed
+_SEED_BOUND = 1 << 64
+
+
+def _check_seed(name: str, seed) -> None:
+    if seed is not None and not 0 <= seed < _SEED_BOUND:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1
     def error(self, message):
@@ -163,6 +173,8 @@ def build_train_config(cfg: dict, seed_override=None) -> tr.TrainConfig:
         if target:
             section, name = target.split(".")
             args[section][name] = value
+    _check_seed("seed", cfg.get("seed"))
+    _check_seed("--seed", seed_override)
     if seed_override is not None:
         args["train"]["seed"] = seed_override
     try:
@@ -181,6 +193,8 @@ def _cmd_gen_data(args) -> int:
     shifted = args.shift_angle != 0.0 or args.shift_scale != 1.0
     rules = (  # (flag, value, ok, rule); NaN fails every comparison, so it fails every rule
         ("--n", args.n, args.n > 0, "be positive"),
+        ("--seed", args.seed, 0 <= args.seed < _SEED_BOUND, "lie in [0, 2**64)"),
+        ("--seed", args.seed, not shifted or args.seed + 1 < _SEED_BOUND, "be below 2**64 - 1 for a domain shift"),
         ("--labeled-fraction", args.labeled_fraction, 0.0 <= args.labeled_fraction <= 1.0, "lie in [0, 1]"),
         ("--shift-angle", args.shift_angle, math.isfinite(args.shift_angle), "be finite"),
         ("--shift-scale", args.shift_scale, 0.0 < args.shift_scale < math.inf, "be finite and positive"),
@@ -305,6 +319,7 @@ def _cmd_divergence(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials <= 0:
         raise ConfigError("--trials must be positive")
+    _check_seed("--seed", args.seed)
     results = props.run_suite(args.suite, trials=args.trials, seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -12,6 +12,12 @@ returns its one-row BatchTrace. Gradients come from the *_batch functions, one
 example per row; one example's gradients are theirs on its one-row trace.
 `_forward_core` and `_tangent` also take a (T, 1, n) stack of one-row inputs,
 each of which rounds exactly as it does alone; a (T, n) GEMM may not.
+
+A model may also hold an (S, P) stack of parameter vectors, with (S, out, in)
+weights and (S, 1, out) biases. `_forward_core`, `forward`, `posterior`,
+`_jacobian_path` and `input_jacobian` then put the stack axis first, and on a
+(1, n) row each slice rounds exactly as its model alone. The backward passes
+take one parameter vector.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ MODEL_FORMAT_VERSION = 1
 
 class MlpModel:
     """Immutable parameters in one read-only float64 vector, `params`, laid out
-    [W0, b0, W1, b1, ...]. weights[l] (shape (out, in)) and biases[l] are
-    views into it, and every parameter gradient is a flat array in the same
-    layout. A plain class, not a dataclass: one is built on every update.
+    [W0, b0, W1, b1, ...], or a read-only (S, P) stack of such vectors.
+    weights[l] (shape (out, in)) and biases[l] are views into it, and every
+    parameter gradient is a flat array in the same layout. A plain class, not
+    a dataclass: one is built on every update.
     """
 
     __slots__ = ("layer_dims", "params", "weights", "biases")
@@ -70,18 +77,22 @@ def n_params(layer_dims) -> int:
 
 
 def unflatten(layer_dims, flat):
-    """(weights, biases): per-layer views of a flat vector in parameter layout."""
+    """(weights, biases): per-layer views of a flat vector in parameter layout.
+    An (S, P) stack gives (S, out, in) weights and (S, 1, out) biases."""
     weights, biases = [], []
+    lead = flat.shape[:-1]
+    rows = flat[:, None] if lead else flat
     for lo, mid, hi, shape in _layout(tuple(layer_dims)):
-        weights.append(flat[lo:mid].reshape(shape))
-        biases.append(flat[mid:hi])
+        weights.append(flat[..., lo:mid].reshape(lead + shape))
+        biases.append(rows[..., mid:hi])
     return tuple(weights), tuple(biases)
 
 
 def _checked_params(name, dims, params, head_rows=0):
     """(dims as ints, params as a read-only float64 copy) once dims holds at
     least two sizes, all positive, and params holds n_params(dims) finite
-    entries followed by head_rows vectors of the last size.
+    entries followed by head_rows vectors of the last size, or is an (S, P)
+    stack of such vectors.
     """
     dims = tuple(map(int, dims))
     if len(dims) < 2:
@@ -90,8 +101,8 @@ def _checked_params(name, dims, params, head_rows=0):
         raise ValueError(f"{name} must be positive, got {dims}")
     params = np.array(params, dtype=np.float64)  # the caller's array stays writable
     size = n_params(dims) + head_rows * dims[-1]
-    if params.shape != (size,):
-        raise ValueError(f"params must have shape ({size},) for {name} {dims}, got {params.shape}")
+    if params.ndim not in (1, 2) or params.shape[-1] != size:
+        raise ValueError(f"params must have shape ({size},) or (S, {size}) for {name} {dims}, got {params.shape}")
     if not np.isfinite(params).all():
         raise ValueError("parameters have non-finite entries")
     params.setflags(write=False)
@@ -142,13 +153,14 @@ def _check_batch_inputs(model: MlpModel, X) -> np.ndarray:
 
 
 def _forward_core(model: MlpModel, X):
-    """(tanh hidden activations, linear last-layer outputs) for checked rows X."""
+    """(tanh hidden activations, linear last-layer outputs) for checked rows X;
+    a stacked model puts its stack axis first."""
     hiddens = []
     a = X
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(a @ w.T + b)
+        a = np.tanh(a @ w.mT + b)
         hiddens.append(a)
-    return tuple(hiddens), a @ model.weights[-1].T + model.biases[-1]
+    return tuple(hiddens), a @ model.weights[-1].mT + model.biases[-1]
 
 
 def forward_batch(model: MlpModel, X) -> BatchTrace:
@@ -166,7 +178,8 @@ def forward(model: MlpModel, x) -> BatchTrace:
 
 
 def posterior(model: MlpModel, x) -> np.ndarray:
-    return forward(model, x).posteriors[0]
+    """The posterior at one point, (S, m) for a stacked model."""
+    return forward(model, x).posteriors[..., 0, :]
 
 
 def _backward_from_logits(model, tr, g_logits, want_param_grads=True, g_sech2=None):
@@ -229,17 +242,19 @@ def _jacobian_path(model, tr):
     With a_l = tr.hiddens[l], the logit Jacobian Jz = W_L D_{L-1} ... D_0 W_0,
     D_l = diag(1 - a_l^2), is the running (B, m, h_l) product V_l = M_{l+1}
     W_{l+1}, M_l = V_l * (1 - a_l^2), one GEMM over a (B*m, h) reshape per
-    layer. Returns (J = p * c, c = Jz - p^T Jz, Jz, [(V_l, M_l) per hidden layer]).
+    layer. A stacked model gives (S, B, m, h_l) arrays, one (B*m, h) GEMM per
+    slice. Returns (J = p * c, c = Jz - p^T Jz, Jz, [(V_l, M_l) per hidden layer]).
     """
     p = tr.posteriors
-    b, m = p.shape
+    *lead, b, m = p.shape  # lead is [S] for a stacked model
     path = []  # from the top hidden layer down
-    v = np.broadcast_to(model.weights[-1], (b, m, model.weights[-1].shape[1]))
+    w_top = model.weights[-1]
+    v = np.broadcast_to(w_top[..., None, :, :], (*lead, b, m, w_top.shape[-1]))
     for w, a in zip(model.weights[-2::-1], tr.hiddens[::-1]):
-        path.append((v, v * (1.0 - a * a)[:, None, :]))
-        v = (path[-1][1].reshape(b * m, -1) @ w).reshape(b, m, -1)
-    c = v - np.einsum("bk,bkj->bj", p, v)[:, None, :]
-    return p[:, :, None] * c, c, v, path[::-1]
+        path.append((v, v * (1.0 - a * a)[..., None, :]))
+        v = (path[-1][1].reshape(*lead, b * m, -1) @ w).reshape(*lead, b, m, -1)
+    c = v - np.einsum("...k,...kj->...j", p, v)[..., None, :]
+    return p[..., None] * c, c, v, path[::-1]
 
 
 def input_jacobian_batch(model, tr: BatchTrace) -> np.ndarray:
@@ -248,8 +263,8 @@ def input_jacobian_batch(model, tr: BatchTrace) -> np.ndarray:
 
 
 def input_jacobian(model, x) -> np.ndarray:
-    """(m, n) Jacobian d posterior / d input at one point."""
-    return input_jacobian_batch(model, forward(model, x))[0]
+    """(m, n) Jacobian d posterior / d input at one point, (S, m, n) for a stack."""
+    return input_jacobian_batch(model, forward(model, x))[..., 0, :, :]
 
 
 def _tangent(model, tr, direction):

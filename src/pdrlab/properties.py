@@ -149,14 +149,31 @@ def _decade_law(divergence_at, q: float):
 def _fd_param_grads(value_fn, model) -> np.ndarray:
     """Centered finite differences of value_fn over every entry of
     model.params, for any model with `params` and `with_params`.
+
+    value_fn is called once, on the model holding the (2P, P) stack of
+    params stepped up by _FD_STEP in entry k (row k) and down (row P + k),
+    and returns its 2P values. Each row is a copy of params with one entry
+    stepped, so a -0.0 elsewhere stays -0.0, as it does in the model alone.
     """
-    grads = np.empty(model.params.size)
-    for k in range(model.params.size):
-        up, down = model.params.copy(), model.params.copy()
-        up[k] += _FD_STEP
-        down[k] -= _FD_STEP
-        grads[k] = (value_fn(model.with_params(up)) - value_fn(model.with_params(down))) / (2 * _FD_STEP)
-    return grads
+    p = model.params.size
+    stack = np.tile(model.params, (2, p, 1))
+    k = np.arange(p)
+    stack[0, k, k] += _FD_STEP
+    stack[1, k, k] -= _FD_STEP
+    values = value_fn(model.with_params(stack.reshape(2 * p, p)))
+    return (values[:p] - values[p:]) / (2 * _FD_STEP)
+
+
+def _ce_at(model, x, label: int):
+    """Cross-entropy of x at label, one value per slice of a stacked model."""
+    z = mlp.forward(model, x).logits
+    return log_sum_exp(z)[..., 0] - z[..., 0, label]
+
+
+def _jacobian_sq_norm_at(model, x):
+    """||J||_F^2 of the posterior's input Jacobian at x, one value per slice."""
+    jac = mlp.input_jacobian_batch(model, mlp.forward(model, x))
+    return np.sum(jac ** 2, axis=(-2, -1))[..., 0]
 
 
 def _grad_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -354,17 +371,17 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         label = int(g.integers(model.n_classes))
         tr = mlp.forward(model, x)
         _, grads, _ = mlp.backward_ce_batch(model, tr, [label])
-        fd = _fd_param_grads(
-            lambda mm: mlp.backward_ce_batch(mm, mlp.forward(mm, x), [label])[0][0], model)
+        fd = _fd_param_grads(lambda mm: _ce_at(mm, x, label), model)
         ce_err = _max_or_nan(ce_err, _grad_rel_err(grads, fd))
 
         s = g.standard_normal(model.n_classes)
         grads, _ = mlp.backward_scalar_of_posterior_batch(model, tr, s[None, :])
-        fd = _fd_param_grads(lambda mm: float(mlp.posterior(mm, x) @ s), model)
+        # (S, 1, m) @ s: each slice rounds as the (m,) @ s dot of one model
+        fd = _fd_param_grads(lambda mm: (mlp.forward(mm, x).posteriors @ s)[..., 0], model)
         seed_err = _max_or_nan(seed_err, _grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)
-        fd = _fd_param_grads(lambda mm: float(np.sum(mlp.input_jacobian(mm, x) ** 2)), model)
+        fd = _fd_param_grads(lambda mm: _jacobian_sq_norm_at(mm, x), model)
         jr_err = _max_or_nan(jr_err, _grad_rel_err(res.param_grads, fd))
     out.append(PropertyResult("ce_grads_match_fd", _FD_GATE - ce_err, f"max relative deviation = {ce_err:.3e}"))
     out.append(PropertyResult("posterior_scalar_grads_match_fd", _FD_GATE - seed_err,
@@ -581,7 +598,8 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             p_clean = mlp.posterior(model, x)
 
             def frozen(mm, eps=eps, gen=gen, p_clean=p_clean):
-                return f_divergence(gen, mlp.posterior(mm, x + eps), p_clean)
+                q = mlp.posterior(mm, x + eps)
+                return f_divergence(gen, q, np.broadcast_to(p_clean, q.shape))
 
             rpt_err = _max_or_nan(rpt_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
 
@@ -696,7 +714,7 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         feats = g.standard_normal((t, model.n_features))
         start, end = int(g.integers(t)), int(g.integers(t))
         _, grads = sp.span_loss(model, feats, start, end)
-        fd = _fd_param_grads(lambda mm: sp.span_loss(mm, feats, start, end)[0], model)
+        fd = _fd_param_grads(lambda mm: sp._span_nll(sp.span_forward(mm, feats).scores, start, end), model)
         loss_err = _max_or_nan(loss_err, _grad_rel_err(grads, fd))
 
         spec = RegularizerSpec("vat", "KL",
@@ -707,8 +725,8 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         delta = res.adversarial_direction
 
         def frozen(mm):
-            trn = sp.span_forward(mm, feats + delta)
-            return float(np.sum(f_divergence(GENERATORS["KL"], trn.probs, p_clean)))
+            q = sp.span_forward(mm, feats + delta).probs
+            return np.sum(f_divergence(GENERATORS["KL"], q, np.broadcast_to(p_clean, q.shape)), axis=-1)
 
         pen_err = _max_or_nan(pen_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
     out.append(PropertyResult("span_loss_grads_match_fd", _FD_GATE - loss_err,

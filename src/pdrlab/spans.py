@@ -33,7 +33,8 @@ class SpanModel:
     encoder's per-layer views into the leading slice (its last layer is the
     linear encoding), so the MLP passes run on a SpanModel directly;
     `scorers` is the (2, d) view of the trailing [w_begin, w_end]. Parameter
-    gradients are flat arrays in the same layout.
+    gradients are flat arrays in the same layout. An (S, P) stack of
+    parameter vectors gives (S, 2, d) scorers and stacked encoder views.
     """
 
     __slots__ = ("enc_dims", "params", "weights", "biases", "scorers")
@@ -41,7 +42,7 @@ class SpanModel:
     def __init__(self, enc_dims, params):
         self.enc_dims, self.params = mlp._checked_params("enc_dims", enc_dims, params, head_rows=2)
         self.weights, self.biases = mlp.unflatten(self.enc_dims, self.params)
-        self.scorers = self.params[mlp.n_params(self.enc_dims) :].reshape(2, -1)
+        self.scorers = self.params[..., mlp.n_params(self.enc_dims) :].reshape(*self.params.shape[:-1], 2, -1)
 
     @property
     def n_features(self) -> int:
@@ -50,7 +51,7 @@ class SpanModel:
     @property
     def encoder(self) -> mlp.MlpModel:
         """The encoder as a stand-alone MlpModel over the leading slice."""
-        return mlp.MlpModel(self.enc_dims, self.params[: mlp.n_params(self.enc_dims)])
+        return mlp.MlpModel(self.enc_dims, self.params[..., : mlp.n_params(self.enc_dims)])
 
     def with_params(self, params) -> "SpanModel":
         return SpanModel(self.enc_dims, params)
@@ -69,7 +70,7 @@ class SpanTrace:
     inputs: np.ndarray  # (T, n_feat) features
     hiddens: tuple[np.ndarray, ...]
     encodings: np.ndarray  # (T, d)
-    scores: np.ndarray  # (2, T)
+    scores: np.ndarray  # (2, T), (S, 2, T) for a stacked model
     probs: np.ndarray  # (2, T), the softmax of each row of scores
 
 
@@ -89,8 +90,9 @@ def _check_features(model: SpanModel, features) -> np.ndarray:
 
 def _scores(enc, scorers) -> np.ndarray:
     """(2, T) scores of (T, d) encodings, one GEMV per scorer row: a single
-    GEMM would round differently."""
-    return np.array([enc @ w for w in scorers])
+    GEMM would round differently. Stacked (S, T, d) encodings and (S, 2, d)
+    scorers give (S, 2, T), one (S, T, d) @ (S, d, 1) product per row."""
+    return np.stack([(enc @ scorers[..., k, :, None])[..., 0] for k in (0, 1)], axis=-2)
 
 
 def span_forward(model: SpanModel, features) -> SpanTrace:
@@ -119,6 +121,12 @@ def _scores_backward(model, tr: SpanTrace, g_scores, want_param_grads=True):
     return np.concatenate([enc_grads, *(tr.encodings.T @ g for g in g_scores)]), fg
 
 
+def _span_nll(scores, start: int, end: int):
+    """Negative log-probability of the (start, end) span from (..., 2, T) scores."""
+    lse = log_sum_exp(scores)
+    return lse[..., 0] - scores[..., 0, start] + lse[..., 1] - scores[..., 1, end]
+
+
 def span_loss(model: SpanModel, features, start: int, end: int):
     """Negative log-probability of the (start, end) span, with flat gradients."""
     tr = span_forward(model, features)
@@ -126,8 +134,7 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     start, end = int(start), int(end)
     if not (0 <= start < t and 0 <= end < t):
         raise ValueError(f"span ({start}, {end}) out of range for {t} positions")
-    lse = log_sum_exp(tr.scores)
-    loss = lse[0] - tr.scores[0, start] + lse[1] - tr.scores[1, end]
+    loss = _span_nll(tr.scores, start, end)
     g = tr.probs.copy()
     g[(0, 1), (start, end)] -= 1.0
     grads, _ = _scores_backward(model, tr, g)

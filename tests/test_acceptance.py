@@ -137,13 +137,11 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         g = rng.split(1, i, 5).generator()
         label = int(g.integers(model.n_classes))
         _, grads, _ = mlp.backward_ce_batch(model, mlp.forward(model, x), [label])
-        fd = props._fd_param_grads(
-            lambda mm: mlp.backward_ce_batch(mm, mlp.forward(mm, x), [label])[0][0], model)
+        fd = props._fd_param_grads(lambda mm: props._ce_at(mm, x, label), model)
         worst_ce = max(worst_ce, props._grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)
-        fd = props._fd_param_grads(
-            lambda mm: float(np.sum(mlp.input_jacobian(mm, x) ** 2)), model)
+        fd = props._fd_param_grads(lambda mm: props._jacobian_sq_norm_at(mm, x), model)
         worst_jr = max(worst_jr, props._grad_rel_err(res.param_grads, fd))
     errs["ce"] = worst_ce
     errs["jr"] = worst_jr
@@ -158,9 +156,9 @@ def test_criterion_04_gradient_paths_match_finite_differences():
             p_clean = mlp.posterior(model, x)
 
             def frozen(mm, eps):
-                qv = mlp.posterior(mm, x + eps)
+                qv = mlp.posterior(mm, x + eps)  # one row per stacked model
                 ratio = np.maximum(qv, PROB_FLOOR) / np.maximum(p_clean, PROB_FLOOR)
-                return float(np.sum(p_clean * gen.g(ratio)))
+                return np.sum(p_clean * gen.g(ratio), axis=-1)
 
             spec = RegularizerSpec("rpt", kind, perturbation=PerturbationConfig(radius=0.2))
             res = rpt_penalty(model, x, spec, src)
@@ -185,7 +183,7 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         feats = g.standard_normal((4, model.n_features))
         start, end = int(g.integers(4)), int(g.integers(4))
         _, grads = sp.span_loss(model, feats, start, end)
-        fd = props._fd_param_grads(lambda mm: sp.span_loss(mm, feats, start, end)[0], model)
+        fd = props._fd_param_grads(lambda mm: sp._span_nll(sp.span_forward(mm, feats).scores, start, end), model)
         worst_sl = max(worst_sl, props._grad_rel_err(grads, fd))
 
         src = rng.split(3, i, 2)
@@ -200,10 +198,10 @@ def test_criterion_04_gradient_paths_match_finite_differences():
             gen = GENERATORS["KL"]
 
             def frozen_span(mm):
-                trn = sp.span_forward(mm, feats + delta)
-                rb = np.maximum(trn.probs[0], PROB_FLOOR) / np.maximum(p_b, PROB_FLOOR)
-                re = np.maximum(trn.probs[1], PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
-                return float(np.sum(p_b * gen.g(rb)) + np.sum(p_e * gen.g(re)))
+                probs = sp.span_forward(mm, feats + delta).probs  # (S, 2, T) for a stack
+                rb = np.maximum(probs[..., 0, :], PROB_FLOOR) / np.maximum(p_b, PROB_FLOOR)
+                re = np.maximum(probs[..., 1, :], PROB_FLOOR) / np.maximum(p_e, PROB_FLOOR)
+                return np.sum(p_b * gen.g(rb), axis=-1) + np.sum(p_e * gen.g(re), axis=-1)
 
             fd = props._fd_param_grads(frozen_span, model)
             worst_sp = max(worst_sp, props._grad_rel_err(res.param_grads, fd))

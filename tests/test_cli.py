@@ -102,6 +102,23 @@ def test_gen_data_bad_n(capsys):
         assert f"config error: {flag} must" in err, (flags, err)
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)],
+                                   ["--seed", str(2**64 - 1), "--shift-angle", "0.5"]])
+def test_gen_data_seed_out_of_range_is_config_error(tmp_path, capsys, flags):
+    # RandomSource keys take seeds mod 2**64: -1 would alias 2**64 - 1, and 2**64 alias 0
+    out = tmp_path / "d.csv"
+    assert run_main(["gen-data", "two-moons", "--n", "10", *flags, "--out", str(out)]) == 1
+    assert "pdrlab: config error: --seed must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_largest_seed_is_accepted(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_main(["gen-data", "two-moons", "--n", "10", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert out.exists()
+    capsys.readouterr()
+
+
 def test_gen_data_without_out_is_config_error(capsys):
     assert run_main(["gen-data", "two-moons", "--n", "10"]) == 1
     assert "config error: two-moons needs --out" in capsys.readouterr().err
@@ -188,6 +205,18 @@ def test_train_with_no_labeled_row_reports_no_train_accuracy(tmp_path, capsys, q
         assert "epoch   1" in out and "  test=" in out
     assert model.exists()
     assert "train_accuracy" not in json.loads(metrics.read_text())["final"]
+
+
+@pytest.mark.parametrize("key, line, flags", [("seed", "seed = -1", []), ("seed", f"seed = {2**64}", []),
+                                              ("--seed", "", ["--seed", "-1"]),
+                                              ("--seed", "", ["--seed", str(2**64)])])
+def test_train_seed_out_of_range_is_config_error(tmp_path, capsys, key, line, flags):
+    data = tmp_path / "d.csv"
+    run_main(["gen-data", "two-moons", "--n", "20", "--out", str(data)])
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TRAIN_CONFIG.format(data=data).replace("seed = 3", line))
+    assert run_main(["train", "--config", str(cfg), "--quiet", *flags]) == 1
+    assert f"pdrlab: config error: {key} must lie in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_train_config_without_data_is_config_error(tmp_path, capsys):
@@ -428,6 +457,15 @@ def test_verify_treats_blank_thread_env_as_unset(monkeypatch, capsys, blank):
 def test_verify_rejects_bad_trials(capsys):
     assert run_main(["verify", "--trials", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_seed_out_of_range_is_config_error(capsys, seed):
+    # -1 printed the bytes of 2**64 - 1, and 2**64 those of 0
+    assert run_main(["verify", "--suite", "divergence", "--trials", "10", "--seed", str(seed)]) == 1
+    captured = capsys.readouterr()
+    assert "pdrlab: config error: --seed must lie in [0, 2**64)" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -19,6 +19,12 @@ def assert_grads_close(grads, fd, tol=1e-4):
     assert _grad_rel_err(grads, fd) < tol
 
 
+def jacobian_sq_norm(model, x):
+    """||J||_F^2 of the posterior's input Jacobian at x, one value per slice of a stack."""
+    j = mlp.input_jacobian(model, x)
+    return np.sum(j * j, axis=(-2, -1))
+
+
 # ---------------------------------------------------------------- construction
 
 def test_init_is_deterministic():
@@ -46,6 +52,59 @@ def test_model_validation():
         mlp.pack_params((2, 3), (np.zeros((2, 3)),), (np.zeros(3),))  # transposed shape
     with pytest.raises(ValueError):
         mlp.MlpModel((2, 3), np.full(9, np.nan))
+
+
+def stacked(dims, n, seed=0):
+    """n random models of one shape, and the (n, P) stacked model of their params."""
+    g = RandomSource(seed).generator()
+    models = [mlp.MlpModel(dims, g.standard_normal(mlp.n_params(dims)) * 0.7) for _ in range(n)]
+    return models, mlp.MlpModel(dims, np.stack([m.params for m in models]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_stack", [1, 5])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 5, 2), (4, 5, 4, 3), (2, 8, 8, 2)])
+def test_a_stack_is_its_slices(dims, n_stack):
+    models, stack = stacked(dims, n_stack, seed=len(dims) + n_stack)
+    assert stack.weights[0].shape == (n_stack, dims[1], dims[0])
+    assert stack.biases[0].shape == (n_stack, 1, dims[1])
+    x = RandomSource(7).generator().standard_normal(dims[0])
+    hiddens, logits = mlp._forward_core(stack, x[None, :])
+    tr = mlp.forward(stack, x)
+    jac, c, v, path = mlp._jacobian_path(stack, tr)
+    assert jac.shape == (n_stack, 1, dims[-1], dims[0])
+    for s, m in enumerate(models):
+        h1, z1 = mlp._forward_core(m, x[None, :])
+        assert all(same_bits(h[s], h_) for h, h_ in zip(hiddens, h1))
+        assert same_bits(logits[s], z1)
+        tr1 = mlp.forward(m, x)
+        assert same_bits(tr.posteriors[s], tr1.posteriors)
+        j1, c1, v1, path1 = mlp._jacobian_path(m, tr1)
+        assert same_bits(jac[s], j1) and same_bits(c[s], c1) and same_bits(v[s], v1)
+        for (vs, ms), (v_, m_) in zip(path, path1):
+            assert same_bits(vs[s], v_) and same_bits(ms[s], m_)
+        assert same_bits(mlp.posterior(stack, x)[s], mlp.posterior(m, x))
+        assert same_bits(mlp.input_jacobian(stack, x)[s], mlp.input_jacobian(m, x))
+
+
+def test_stacked_params_are_checked():
+    dims = (2, 3)
+    p = mlp.n_params(dims)
+    with pytest.raises(ValueError, match="params must have shape"):
+        mlp.MlpModel(dims, np.zeros((2, 3, p)))  # 3-D
+    with pytest.raises(ValueError, match="params must have shape"):
+        mlp.MlpModel(dims, np.zeros((3, p + 1)))  # wrong P
+    bad = np.zeros((3, p))
+    bad[2, 1] = np.inf
+    with pytest.raises(ValueError, match="parameters have non-finite entries"):
+        mlp.MlpModel(dims, bad)
+    with pytest.raises(ValueError, match="params must have shape"):
+        SpanModel(dims, np.zeros((2, p)))  # the scorer rows are missing
+    assert not mlp.MlpModel(dims, np.zeros((3, p))).params.flags.writeable
 
 
 def test_parameters_are_read_only():
@@ -159,8 +218,7 @@ def test_ce_grads_match_fd(dims):
     label = 1
 
     def value(mm):
-        tr = mlp.forward(mm, x)
-        return -math.log(tr.posteriors[0, label])
+        return -np.log(mlp.posterior(mm, x)[..., label])
 
     _, grads, _ = mlp.backward_ce_batch(m, mlp.forward(m, x), [label])
     assert_grads_close(grads, fd_param_grads(value, m))
@@ -195,7 +253,7 @@ def test_scalar_of_posterior_grads_match_fd():
     seed = np.array([0.3, -1.1, 0.7])
 
     def value(mm):
-        return float(seed @ mlp.posterior(mm, x))
+        return mlp.posterior(mm, x) @ seed
 
     grads, _ = mlp.backward_scalar_of_posterior_batch(m, mlp.forward(m, x), seed[None, :])
     assert_grads_close(grads, fd_param_grads(value, m))
@@ -258,11 +316,7 @@ def test_jacobian_sq_norm_value_and_grads():
     jac = mlp.input_jacobian(m, x)
     assert values[0] == pytest.approx(float(np.sum(jac * jac)), abs=1e-12)
 
-    def value(mm):
-        j = mlp.input_jacobian(mm, x)
-        return float(np.sum(j * j))
-
-    assert_grads_close(grads, fd_param_grads(value, m))
+    assert_grads_close(grads, fd_param_grads(lambda mm: jacobian_sq_norm(mm, x), m))
 
 
 def test_jacobian_sq_norm_deeper_model_grads():
@@ -271,11 +325,7 @@ def test_jacobian_sq_norm_deeper_model_grads():
     tr = mlp.forward_batch(m, x[None, :])
     _, grads = mlp.jacobian_sq_norm_grads_batch(m, tr)
 
-    def value(mm):
-        j = mlp.input_jacobian(mm, x)
-        return float(np.sum(j * j))
-
-    assert_grads_close(grads, fd_param_grads(value, m))
+    assert_grads_close(grads, fd_param_grads(lambda mm: jacobian_sq_norm(mm, x), m))
 
 
 def per_class_jacobian_sq_norm_grads(model, tr):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
-from pdrlab import properties, regularizers, tensor
+from pdrlab import properties, regularizers, spans, tensor
 from pdrlab.divergences import GENERATORS, KL, Generator, kl_divergence, l1_distance, l2_distance
 from pdrlab.properties import (
     SUITE_NAMES,
@@ -328,3 +329,108 @@ def test_second_order_instance_forms_match_quadratic_penalty():
         model, x, eps, q = properties._second_order_instance(rng, i)
         for kind, gen in GENERATORS.items():
             assert q[kind] == regularizers.quadratic_penalty(model, x, gen, eps)
+
+
+def _fd_param_grads_loop(value_fn, model):
+    """The reference `properties._fd_param_grads` must match bit for bit: the
+    per-parameter loop it replaced, 2P calls of value_fn on one model each."""
+    h = properties._FD_STEP
+    grads = np.empty(model.params.size)
+    for k in range(model.params.size):
+        up, down = model.params.copy(), model.params.copy()
+        up[k] += h
+        down[k] -= h
+        grads[k] = (value_fn(model.with_params(up)) - value_fn(model.with_params(down))) / (2 * h)
+    return grads
+
+
+_stacked_fd_param_grads = properties._fd_param_grads  # the tests below patch the module's name
+
+
+def _assert_fd_matches_loop(value_fn, model):
+    got = _stacked_fd_param_grads(value_fn, model)
+    want = _fd_param_grads_loop(value_fn, model)
+    assert got.tobytes() == want.tobytes(), (value_fn.__code__, got - want)
+    return got
+
+
+def _checked_fd_calls(monkeypatch):
+    """Route every properties._fd_param_grads call through the loop check;
+    returns the count of calls per value function (by its code)."""
+    calls = collections.Counter()
+
+    def checked(value_fn, model):
+        calls[value_fn.__code__] += 1
+        return _assert_fd_matches_loop(value_fn, model)
+
+    monkeypatch.setattr(properties, "_fd_param_grads", checked)
+    return calls
+
+
+@pytest.mark.parametrize("suite, seeds, n_rows", [("jacobian", (1, 2), 3), ("vat", (1, 2), 2),
+                                                  ("spans", (1, 2, 3, 4), 2)], ids=["jacobian", "vat", "spans"])
+def test_stacked_fd_matches_the_loop_on_every_verify_row(monkeypatch, suite, seeds, n_rows):
+    calls = _checked_fd_calls(monkeypatch)
+    for seed in seeds:
+        run_suite(suite, trials=40, seed=seed)
+    assert len(calls) == n_rows  # jacobian: ce, posterior-scalar, jr; vat: rpt, vat; spans: loss, penalty
+    assert min(calls.values()) >= 100
+
+
+def test_stacked_fd_matches_the_loop_on_criterion_04(monkeypatch, capsys):
+    import test_acceptance as acceptance
+
+    calls = _checked_fd_calls(monkeypatch)
+    for offset in range(4):  # four seeds give each of its six rows 100 or more calls
+        monkeypatch.setattr(acceptance, "RandomSource", lambda seed, offset=offset: tensor.RandomSource(seed + offset))
+        acceptance.test_criterion_04_gradient_paths_match_finite_differences()
+    capsys.readouterr()
+    assert len(calls) == 6
+    assert min(calls.values()) >= 100
+
+
+def _negative_zero_model():
+    model, x = properties._model_instance(tensor.RandomSource(3), 3)
+    params = model.params.copy()
+    params[[0, 5]] = -0.0
+    return model.with_params(params), x
+
+
+def test_stacked_fd_matches_the_loop_on_the_test_helpers():
+    import test_model
+    import test_regularizers
+    import test_spans
+
+    rng = tensor.RandomSource(12)
+    instances = [properties._model_instance(rng, i) for i in range(100)] + [_negative_zero_model()]
+    for i, (model, x) in enumerate(instances):
+        eps = tensor.gaussian_vec(rng.split(i, 1), x.size, 0.2)
+        p_clean = mlp.posterior(model, x)
+        label = i % model.n_classes
+        for value_fn in (lambda mm: test_model.jacobian_sq_norm(mm, x),
+                         lambda mm: test_regularizers.frozen_divergence(mm, x, eps, p_clean, "JSD"),
+                         lambda mm: properties._ce_at(mm, x, label),
+                         lambda mm: properties._jacobian_sq_norm_at(mm, x)):
+            _assert_fd_matches_loop(value_fn, model)
+    for i in range(100):
+        model = properties._random_span_model(rng.split(50, i), hidden=(4,), d=3)
+        feats = rng.split(51, i).generator().standard_normal((4, model.n_features))
+        eps = tensor.gaussian_vec(rng.split(52, i), feats.size, 0.3).reshape(feats.shape)
+        pb0, pe0 = spans.span_distributions(model, feats)
+        _assert_fd_matches_loop(lambda mm: test_spans.frozen_pair_divergence(mm, feats, eps, pb0, pe0, "JSD"),
+                                model)
+
+
+def test_fd_stack_rows_are_the_loops_stepped_copies():
+    # params +- h I would turn the -0.0 entries of every other row into +0.0
+    model, _ = _negative_zero_model()
+    seen = []
+    properties._fd_param_grads(lambda mm: seen.append(mm.params) or np.zeros(len(mm.params)), model)
+    (stack,) = seen
+    p = model.params.size
+    assert stack.shape == (2 * p, p)
+    for k in range(p):
+        up, down = model.params.copy(), model.params.copy()
+        up[k] += properties._FD_STEP
+        down[k] -= properties._FD_STEP
+        assert stack[k].tobytes() == up.tobytes() and stack[p + k].tobytes() == down.tobytes()

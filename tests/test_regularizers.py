@@ -33,11 +33,12 @@ def assert_grads_close(grads, fd, tol=1e-4):
 
 
 def frozen_divergence(model, x, eps, p_clean, kind):
-    """Penalty value at perturbation eps with the clean branch held constant."""
+    """Penalty value at perturbation eps with the clean branch held constant,
+    one value per slice of a stacked model."""
     gen = GENERATORS[kind]
     q = mlp.posterior(model, np.asarray(x) + eps)
     ratio = np.maximum(q, PROB_FLOOR) / np.maximum(p_clean, PROB_FLOOR)
-    return float(np.sum(p_clean * gen.g(ratio)))
+    return np.sum(p_clean * gen.g(ratio), axis=-1)
 
 
 # ---------------------------------------------------------------- configuration
@@ -95,7 +96,7 @@ def test_jr_penalty_grads_match_fd():
 
     def value(mm):
         j = mlp.input_jacobian(mm, x)
-        return float(np.sum(j * j))
+        return np.sum(j * j, axis=(-2, -1))
 
     res = jr_penalty(m, x)
     assert_grads_close(res.param_grads, fd_param_grads(value, m))

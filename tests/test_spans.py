@@ -11,6 +11,7 @@ from pdrlab.properties import _grad_rel_err
 from pdrlab.spans import (
     SpanModel,
     _scores_backward,
+    _span_nll,
     apply_span_update,
     init_span_model,
     joint_span_table,
@@ -33,13 +34,14 @@ def random_features(seed, t=6, n_feat=3):
 
 
 def frozen_pair_divergence(model, features, eps, pb0, pe0, kind):
-    """Summed begin+end divergence at features+eps against frozen clean probs."""
+    """Summed begin+end divergence at features+eps against frozen clean probs,
+    one value per slice of a stacked model."""
     gen = GENERATORS[kind]
-    pb, pe = span_distributions(model, np.asarray(features) + eps)
+    probs = span_distributions(model, np.asarray(features) + eps)
     total = 0.0
-    for noisy, clean in ((pb, pb0), (pe, pe0)):
+    for noisy, clean in ((probs[..., 0, :], pb0), (probs[..., 1, :], pe0)):
         ratio = np.maximum(noisy, PROB_FLOOR) / np.maximum(clean, PROB_FLOOR)
-        total += float(np.sum(clean * gen.g(ratio)))
+        total = total + np.sum(clean * gen.g(ratio), axis=-1)
     return total
 
 
@@ -54,6 +56,21 @@ def assert_span_grads_close(grads, fd, tol=1e-4):
 
 
 # ---------------------------------------------------------------- forward shape
+
+@pytest.mark.parametrize("n_stack", [1, 5])
+def test_a_stacked_span_model_is_its_slices(n_stack):
+    models = [small_span_model(60 + s) for s in range(n_stack)]
+    stack = SpanModel(models[0].enc_dims, np.stack([m.params for m in models]))
+    assert stack.scorers.shape == (n_stack, 2, 4)
+    f = random_features(61, t=5)
+    tr = span_forward(stack, f)
+    assert tr.scores.shape == tr.probs.shape == (n_stack, 2, 5)
+    for s, m in enumerate(models):
+        one = span_forward(m, f)
+        for got, want in ((tr.encodings[s], one.encodings), (tr.scores[s], one.scores),
+                          (tr.probs[s], one.probs), *zip((h[s] for h in tr.hiddens), one.hiddens)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 def test_init_is_deterministic():
     a = small_span_model(4)
@@ -154,7 +171,7 @@ def test_span_loss_grads_match_fd():
     m = small_span_model(15, dims=(2, 4, 3))
     f = random_features(16, t=4, n_feat=2)
     _, grads = span_loss(m, f, 0, 2)
-    fd = fd_span_grads(lambda mm: span_loss(mm, f, 0, 2)[0], m)
+    fd = fd_span_grads(lambda mm: _span_nll(span_forward(mm, f).scores, 0, 2), m)
     assert_span_grads_close(grads, fd)
 
 
