@@ -99,9 +99,7 @@ _SCALARS = {
     "seed": (int, "train.seed"),
     "epochs": (int, "train.epochs"),
     "batch_size": (int, "train.batch_size"),
-    "lr_decay": (str, "train.lr_decay"),
     "model.hidden": (str, None),
-    "optimizer.kind": (str, "train.optimizer"),
     "optimizer.learning_rate": (float, "train.learning_rate"),
     "regularizer.kind": (str, "regularizer.kind"),
     "regularizer.divergence": (str, "regularizer.generator_kind"),

@@ -15,9 +15,9 @@ each of which rounds exactly as it does alone; a (T, n) GEMM may not.
 
 A model may also hold an (S, P) stack of parameter vectors, with (S, out, in)
 weights and (S, 1, out) biases. `_forward_core`, `forward`, `posterior`,
-`_jacobian_path` and `input_jacobian` then put the stack axis first, and on a
-(1, n) row each slice rounds exactly as its model alone. The backward passes
-take one parameter vector.
+`_jacobian_path`, `input_jacobian` and `_tangent` then put the stack axis
+first, and on a (1, n) row each slice rounds exactly as its model alone. The
+backward passes, `model_to_dict` and the trainer take one parameter vector.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class MlpModel:
 
     def with_params(self, params) -> "MlpModel":
         return MlpModel(self.layer_dims, params)
+
+
+def _check_one_model(model: MlpModel, caller: str) -> None:
+    if model.params.ndim != 1:
+        raise ValueError(f"{caller} takes one model, not a parameter stack of {len(model.params)}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,10 +282,10 @@ def _tangent(model, tr, direction):
     tangents = []
     da = direction
     for w, a in zip(model.weights[:-1], tr.hiddens):
-        dz = da @ w.T
+        dz = da @ w.mT
         da = (1.0 - a * a) * dz
         tangents.append((dz, da))
-    return tangents, da @ model.weights[-1].T
+    return tangents, da @ model.weights[-1].mT
 
 
 def jacobian_sq_norm_grads_batch(model, tr: BatchTrace):
@@ -320,6 +325,7 @@ def apply_update(model: MlpModel, grads: np.ndarray, step) -> MlpModel:
 
 
 def model_to_dict(model: MlpModel) -> dict:
+    _check_one_model(model, "model_to_dict")
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "layer_dims": list(model.layer_dims),
@@ -341,13 +347,21 @@ def model_from_dict(doc: dict) -> MlpModel:
     dims = doc["layer_dims"]
     if not all(type(d) is int for d in dims):  # no bool, float or null
         raise ValueError(f"model document's layer_dims must hold integers, got {dims!r}")
+    for key in ("weights", "biases"):
+        if not _holds_only_numbers(doc[key]):
+            raise ValueError(f"model document's {key} must hold only numbers")
     return MlpModel(dims, pack_params(dims, doc["weights"], doc["biases"]))
 
 
+def _holds_only_numbers(value) -> bool:
+    """Whether every leaf of nested lists is a JSON number: no bool, string or null."""
+    return all(map(_holds_only_numbers, value)) if isinstance(value, list) else type(value) in (int, float)
+
+
 def save_model(model: MlpModel, path) -> None:
+    text = json.dumps(model_to_dict(model)) + "\n"  # a rejected model opens no file
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> MlpModel:

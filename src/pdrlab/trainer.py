@@ -1,10 +1,10 @@
 """Deterministic minibatch training for the classifier with optional penalty.
 
 Per batch, labeled examples contribute mean cross-entropy and every example
-contributes the mean smoothness penalty scaled by alpha. The whole run is a
-pure function of (initial model, dataset, config): shuffling and perturbation
-draws come from streams derived from the config seed, so reruns are
-bit-identical.
+contributes the mean smoothness penalty scaled by alpha; one Adam step at the
+constant learning rate follows. The whole run is a pure function of (initial
+model, dataset, config): shuffling and perturbation draws come from streams
+derived from the config seed, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .data import UNLABELED, Dataset
 from .regularizers import RegularizerSpec, penalty_batch
 from .tensor import RandomSource, log_sum_exp, permutation
 
-OPTIMIZER_KINDS = ("adam", "sgd")
-LR_DECAY_KINDS = ("none", "linear")
-
 # stream tags under the config seed
 _SHUFFLE, _PENALTY, _INIT = 0, 1, 2
 
@@ -34,18 +31,12 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     seed: int = 1
-    optimizer: str = "adam"
     learning_rate: float = 1e-2
-    lr_decay: str = "none"
     regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}")
-        if self.lr_decay not in LR_DECAY_KINDS:
-            raise ValueError(f"lr_decay must be one of {LR_DECAY_KINDS}")
         if not 0.0 < self.learning_rate < math.inf:  # also catches NaN
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
@@ -85,6 +76,8 @@ def adam_step(state, grads: np.ndarray, learning_rate: float):
     t += 1
     m = _BETA1 * m + (1.0 - _BETA1) * grads
     v = _BETA2 * v + (1.0 - _BETA2) * grads * grads
+    if not math.isfinite(v.max()):  # an overflowed square would freeze its parameter at a zero update
+        raise ValueError("Adam's second moment is not finite")
     update = learning_rate * (m / (1.0 - _BETA1 ** t)) / (np.sqrt(v / (1.0 - _BETA2 ** t)) + _ADAM_EPS)
     return (t, m, v), update
 
@@ -105,6 +98,7 @@ def _scorable_rows(model: mlp.MlpModel, ds: Dataset, name: str = "dataset") -> n
 
 def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
     """Accuracy and mean cross-entropy over the labeled examples."""
+    mlp._check_one_model(model, "evaluate")
     idx = _scorable_rows(model, ds)
     X = ds.features[idx]
     y = ds.labels[idx]
@@ -125,10 +119,12 @@ def _finite_sum(total: float, value: float) -> float:
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the loop's own finiteness checks report divergence
 def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict | None = None) -> TrainRun:
     """Run the full protocol; returns the final model and per-epoch metrics."""
     t_start = time.monotonic()
     spec = cfg.regularizer
+    mlp._check_one_model(model0, "train")
     if ds.n_examples == 0:
         raise ValueError("dataset has no examples")
     if ds.n_features != model0.n_inputs:
@@ -148,13 +144,10 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
 
     rng = RandomSource(cfg.seed)
     model = model0
-    state = adam_init(model0) if cfg.optimizer == "adam" else None
+    state = adam_init(model0)
     epoch_records = []
 
     for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate
-        if cfg.lr_decay == "linear":
-            lr *= 1.0 - epoch / cfg.epochs
         order = permutation(rng.split(_SHUFFLE, epoch), n)
         ce_sum = 0.0
         pen_sum = 0.0
@@ -178,11 +171,8 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
                     pen_sum = _finite_sum(pen_sum, float(values.sum()))
                     grads = grads + (spec.alpha / len(batch)) * pen_grads
                 term = "parameter update"
-                if cfg.optimizer == "adam":
-                    state, update = adam_step(state, grads, lr)
-                    model = mlp.apply_update(model, update, 1.0)
-                else:
-                    model = mlp.apply_update(model, grads, lr)
+                state, update = adam_step(state, grads, cfg.learning_rate)
+                model = mlp.apply_update(model, update, 1.0)
             except ValueError as exc:
                 # non-finite sums, parameters or logits: the run has diverged
                 raise _diverged(epoch, b, term, exc) from None
@@ -202,18 +192,15 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
             raise _diverged(epoch, b, "parameter update", exc) from None
         epoch_records.append(record)
 
-    final = dict(epoch_records[-1])
-    final.pop("epoch")
-    run = TrainRun(
+    return TrainRun(
         config=asdict(cfg),
         provenance=dict(ds.provenance),
         epochs=epoch_records,
-        final=final,
+        final={k: v for k, v in epoch_records[-1].items() if k != "epoch"},
         model=model,
         run_id=f"{time.time_ns():x}-{cfg.seed}",
         wall_clock_seconds=time.monotonic() - t_start,
     )
-    return run
 
 
 def metrics_to_dict(run: TrainRun, deterministic: bool = False) -> dict:

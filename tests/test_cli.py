@@ -258,14 +258,13 @@ def test_train_unusable_eval_set_exits_3_naming_it(tmp_path, capsys):
 
 
 # 30 rows fit in one batch, so the overflow first shows in the epoch-end evaluation
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("n, learning_rate", [(200, "1e306"), (200, "1e308"), (30, "1e308")])
 def test_diverged_training_exits_3_and_writes_no_metrics(tmp_path, capsys, n, learning_rate):
     data = tmp_path / "d.csv"
     run_main(["gen-data", "two-moons", "--n", str(n), "--noise", "0.25", "--out", str(data)])
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"data = {data}\nseed = 1\nepochs = 5\nbatch_size = 32\nmodel.hidden = 64\n"
-                   f"optimizer.kind = sgd\noptimizer.learning_rate = {learning_rate}\n")
+                   f"optimizer.learning_rate = {learning_rate}\n")
     metrics = tmp_path / "metrics.json"
     capsys.readouterr()
     code = run_main(["train", "--config", str(cfg), "--quiet", "--metrics-out", str(metrics)])
@@ -317,7 +316,13 @@ def test_eval_missing_model_is_runtime_error(tmp_path, capsys):
       "biases": [[0.0, 0.0]]}, "layer_dims must hold integers"),
     ({"format_version": 1, "layer_dims": [2.7, 2], "weights": [[[0.0, 0.0], [0.0, 0.0]]],
       "biases": [[0.0, 0.0]]}, "layer_dims must hold integers"),
-], ids=["list", "no-weights", "null-dim", "float-dim"])
+    ({"format_version": 1, "layer_dims": [2, 2], "weights": [[[True, 0.0], [0.0, 0.0]]],
+      "biases": [[0.0, 0.0]]}, "weights must hold only numbers"),
+    ({"format_version": 1, "layer_dims": [2, 2], "weights": [[["1.5", 0.0], [0.0, 0.0]]],
+      "biases": [[0.0, 0.0]]}, "weights must hold only numbers"),
+    ({"format_version": 1, "layer_dims": [2, 2], "weights": [[[0.0, 0.0], [0.0, 0.0]]],
+      "biases": [["0", 0.0]]}, "biases must hold only numbers"),
+], ids=["list", "no-weights", "null-dim", "float-dim", "bool-weight", "str-weight", "str-bias"])
 def test_eval_malformed_model_is_runtime_error(tmp_path, capsys, doc, fragment):
     data, model = tmp_path / "d.csv", tmp_path / "m.json"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])
@@ -345,6 +350,8 @@ def test_parse_config_values_and_comments():
     ("optimizer.beta1 = 0.9", "unknown key"),
     ("optimizer.beta2 = 0.999", "unknown key"),
     ("optimizer.eps = 1e-8", "unknown key"),
+    ("optimizer.kind = sgd", "unknown key"),
+    ("lr_decay = linear", "unknown key"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -356,8 +363,7 @@ def test_empty_config_builds_the_default_train_config():
                               init_std=1e-5, samples_per_example=1)
     reg = RegularizerSpec(kind="none", generator_kind="KL", alpha=1.0, perturbation=pert,
                           through_clean=False)
-    want = TrainConfig(epochs=30, batch_size=32, seed=1, optimizer="adam", learning_rate=1e-2,
-                       lr_decay="none", regularizer=reg)
+    want = TrainConfig(epochs=30, batch_size=32, seed=1, learning_rate=1e-2, regularizer=reg)
     assert cli.build_train_config({}) == want == TrainConfig()
     assert cli.build_train_config({}, seed_override=5) == replace(want, seed=5)
 
@@ -365,7 +371,7 @@ def test_empty_config_builds_the_default_train_config():
 def test_every_config_key_sets_its_field():
     cfg = parse_config(
         "data = d.csv\nmodel.hidden = 4\neval.test = t.csv\n"
-        "seed = 7\nepochs = 3\nbatch_size = 5\nlr_decay = linear\noptimizer.kind = sgd\n"
+        "seed = 7\nepochs = 3\nbatch_size = 5\n"
         "optimizer.learning_rate = 0.5\nregularizer.kind = vat\nregularizer.divergence = JSD\n"
         "regularizer.alpha = 2\nregularizer.through_clean = true\nperturbation.radius = 0.3\n"
         "perturbation.norm = linf\nperturbation.steps = 2\nperturbation.eta = 0.01\n"
@@ -375,8 +381,7 @@ def test_every_config_key_sets_its_field():
     reg = RegularizerSpec(kind="vat", generator_kind="JSD", alpha=2.0, perturbation=pert,
                           through_clean=True)
     assert cli.build_train_config(cfg) == TrainConfig(
-        epochs=3, batch_size=5, seed=7, optimizer="sgd", learning_rate=0.5,
-        lr_decay="linear", regularizer=reg)
+        epochs=3, batch_size=5, seed=7, learning_rate=0.5, regularizer=reg)
 
 
 # ---------------------------------------------------------------- divergence

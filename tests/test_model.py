@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -72,10 +73,11 @@ def test_a_stack_is_its_slices(dims, n_stack):
     models, stack = stacked(dims, n_stack, seed=len(dims) + n_stack)
     assert stack.weights[0].shape == (n_stack, dims[1], dims[0])
     assert stack.biases[0].shape == (n_stack, 1, dims[1])
-    x = RandomSource(7).generator().standard_normal(dims[0])
+    x, d = RandomSource(7).generator().standard_normal((2, dims[0]))
     hiddens, logits = mlp._forward_core(stack, x[None, :])
     tr = mlp.forward(stack, x)
     jac, c, v, path = mlp._jacobian_path(stack, tr)
+    tangents, dz = mlp._tangent(stack, tr, d[None, :])
     assert jac.shape == (n_stack, 1, dims[-1], dims[0])
     for s, m in enumerate(models):
         h1, z1 = mlp._forward_core(m, x[None, :])
@@ -87,6 +89,10 @@ def test_a_stack_is_its_slices(dims, n_stack):
         assert same_bits(jac[s], j1) and same_bits(c[s], c1) and same_bits(v[s], v1)
         for (vs, ms), (v_, m_) in zip(path, path1):
             assert same_bits(vs[s], v_) and same_bits(ms[s], m_)
+        tangents1, dz1 = mlp._tangent(m, tr1, d[None, :])
+        assert same_bits(dz[s], dz1)
+        for (zs, as_), (z_, a_) in zip(tangents, tangents1):
+            assert same_bits(zs[s], z_) and same_bits(as_[s], a_)
         assert same_bits(mlp.posterior(stack, x)[s], mlp.posterior(m, x))
         assert same_bits(mlp.input_jacobian(stack, x)[s], mlp.input_jacobian(m, x))
 
@@ -432,6 +438,18 @@ def test_model_from_dict_rejects_mismatched_shapes():
         mlp.model_from_dict(doc)
 
 
+def planted(key, *index, value):
+    """A malform that sets doc[key][index...] to value, on a copy of doc."""
+    def malform(doc):
+        doc = json.loads(json.dumps(doc))
+        entries = doc[key]
+        for i in index[:-1]:
+            entries = entries[i]
+        entries[index[-1]] = value
+        return doc
+    return malform
+
+
 @pytest.mark.parametrize("malform, fragment", [
     (lambda doc: [doc], "must be a JSON object"),
     (lambda doc: None, "must be a JSON object"),
@@ -442,8 +460,11 @@ def test_model_from_dict_rejects_mismatched_shapes():
     (lambda doc: {**doc, "weights": 3.0}, "weights must be a list, got float"),
     (lambda doc: {**doc, "layer_dims": [None, 2]}, "layer_dims must hold integers"),
     (lambda doc: {**doc, "layer_dims": [2.7, 2]}, "layer_dims must hold integers"),
+    (planted("weights", 0, 0, 0, value=True), "weights must hold only numbers"),
+    (planted("weights", 0, 0, 1, value="1.5"), "weights must hold only numbers"),
+    (planted("biases", 0, 1, value="0"), "biases must hold only numbers"),
 ], ids=["list", "null", "no-layer_dims", "no-weights", "no-biases", "int-layer_dims", "float-weights",
-        "null-dim", "float-dim"])
+        "null-dim", "float-dim", "bool-weight", "str-weight", "str-bias"])
 def test_model_from_dict_rejects_a_malformed_document(malform, fragment):
     with pytest.raises(ValueError, match=fragment):
         mlp.model_from_dict(malform(mlp.model_to_dict(small_model())))
