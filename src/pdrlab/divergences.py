@@ -30,7 +30,11 @@ class Generator:
     g: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     g_prime: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     g_double_prime: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    curvature_at_one: float = 0.0  # g''(1), the weight of the small-noise quadratic form
+
+    @property
+    def curvature_at_one(self) -> float:
+        """g''(1), the weight of the small-noise quadratic form."""
+        return float(self.g_double_prime(1.0))
 
 
 def _kl_g(t):
@@ -83,10 +87,10 @@ def _jsd_g2(t):
     return 0.5 / (t * (1.0 + t))
 
 
-KL = Generator("KL", _kl_g, _kl_g1, _kl_g2, curvature_at_one=1.0)
-REVERSE_KL = Generator("RKL", _rkl_g, _rkl_g1, _rkl_g2, curvature_at_one=1.0)
-SQUARED_HELLINGER = Generator("SHL", _shl_g, _shl_g1, _shl_g2, curvature_at_one=0.5)
-JENSEN_SHANNON = Generator("JSD", _jsd_g, _jsd_g1, _jsd_g2, curvature_at_one=0.25)
+KL = Generator("KL", _kl_g, _kl_g1, _kl_g2)
+REVERSE_KL = Generator("RKL", _rkl_g, _rkl_g1, _rkl_g2)
+SQUARED_HELLINGER = Generator("SHL", _shl_g, _shl_g1, _shl_g2)
+JENSEN_SHANNON = Generator("JSD", _jsd_g, _jsd_g1, _jsd_g2)
 
 GENERATORS = {g.kind: g for g in (KL, REVERSE_KL, SQUARED_HELLINGER, JENSEN_SHANNON)}
 GENERATOR_KINDS = tuple(GENERATORS)
@@ -112,6 +116,13 @@ def _ratio(p_hat, p):
     return np.maximum(p_hat, PROB_FLOOR) / np.maximum(p, PROB_FLOOR)
 
 
+def _divergence_rows(gen: Generator, p_hat, p):
+    """(D_g(p_hat, p), its gradient g'(ratio) in p_hat, the floored ratio) per
+    row of unchecked distributions: the values and seeds of every caller."""
+    ratio = _ratio(p_hat, p)
+    return np.sum(p * gen.g(ratio), axis=-1), gen.g_prime(ratio), ratio
+
+
 def f_divergence(gen: Generator, p_hat, p):
     """D_g(p_hat, p) = sum_i p_i g(p_hat_i / p_i), floored inside the ratio.
 
@@ -119,15 +130,13 @@ def f_divergence(gen: Generator, p_hat, p):
     single pair, an array for a batch. Always >= 0 up to float rounding, and
     exactly 0 when p_hat and p are identical.
     """
-    p_hat, p = _checked_pair(p_hat, p)
-    val = np.sum(p * gen.g(_ratio(p_hat, p)), axis=-1)
+    val = _divergence_rows(gen, *_checked_pair(p_hat, p))[0]
     return float(val) if val.ndim == 0 else val
 
 
 def f_divergence_grad_wrt_phat(gen: Generator, p_hat, p) -> np.ndarray:
     """Gradient of f_divergence in its first argument: component i is g'(ratio_i)."""
-    p_hat, p = _checked_pair(p_hat, p)
-    return gen.g_prime(_ratio(p_hat, p))
+    return _divergence_rows(gen, *_checked_pair(p_hat, p))[1]
 
 
 def l1_distance(p, q):

@@ -121,11 +121,18 @@ def pack_params(layer_dims, weights, biases) -> np.ndarray:
         raise ValueError("parameter count does not match layer_dims")
     parts = []
     for l, (w, b) in enumerate(zip(weights, biases)):
-        w, b = np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)
+        w, b = _layer_array(l, "weights", w), _layer_array(l, "biases", b)
         if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
             raise ValueError(f"layer {l} parameter shapes do not match layer_dims")
         parts += [w.ravel(), b]
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _layer_array(l: int, key: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except ValueError:  # a ragged nested list, or an entry that is no number
+        raise ValueError(f"layer {l} {key} must be a rectangular array of numbers") from None
 
 
 @dataclass(frozen=True)
@@ -213,6 +220,12 @@ def _softmax_vjp(p, g):
     return p * (g - np.sum(p * g, axis=-1, keepdims=True))
 
 
+def cross_entropy(logits, labels) -> np.ndarray:
+    """lse(z) - z[label] per row z of (B, m) logits, one label per row, stable
+    for saturated posteriors; a stack's (S, B, m) logits give (S, B)."""
+    return log_sum_exp(logits) - logits[..., np.arange(logits.shape[-2]), labels]
+
+
 def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     """Cross-entropy losses and gradients for a batch.
 
@@ -224,11 +237,9 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     b, m = tr.logits.shape
     if labels.shape != (b,) or not ((0 <= labels) & (labels < m)).all():
         raise ValueError(f"labels must be {b} class indices in [0, {m}), got {labels!r}")
-    rows = np.arange(b)
-    # loss = lse(logits) - logit[label], stable for saturated posteriors
-    losses = log_sum_exp(tr.logits) - tr.logits[rows, labels]
+    losses = cross_entropy(tr.logits, labels)
     g = tr.posteriors.copy()
-    g[rows, labels] -= 1.0
+    g[np.arange(b), labels] -= 1.0
     if weights is not None:
         g = g * np.asarray(weights)[:, None]
     grads, xg = _backward_from_logits(model, tr, g)
@@ -319,8 +330,8 @@ def jacobian_sq_norm_grads_batch(model, tr: BatchTrace):
     return np.sum(jac * jac, axis=(1, 2)), 2.0 * (grads + primal)
 
 
-def apply_update(model: MlpModel, grads: np.ndarray, step) -> MlpModel:
-    """New model with parameters theta - step * grad, elementwise."""
+def apply_update(model, grads: np.ndarray, step):
+    """New model (an MlpModel or SpanModel) with parameters theta - step * grad."""
     return model.with_params(model.params - step * grads)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as mlp
-from .divergences import PROB_FLOOR, Generator, _ratio, generator, kl_divergence, l1_distance, l2_distance
+from .divergences import (PROB_FLOOR, Generator, _divergence_rows, generator, kl_divergence, l1_distance,
+                          l2_distance)
 from .tensor import RandomRows, RandomSource, frobenius_norm, gaussian_rows, softmax, spectral_norm
 
 _ASCENT_NORM_FLOOR = 1e-12
@@ -76,13 +77,6 @@ class PenaltyResult:
     value: float
     param_grads: np.ndarray  # flat, in the model's parameter layout
     adversarial_direction: np.ndarray | None = None
-
-
-def _divergence_rows(gen: Generator, p_noisy, p_clean):
-    """Rowwise divergence values and d(value)/d(p_noisy) seeds."""
-    ratio = _ratio(p_noisy, p_clean)
-    values = np.sum(p_clean * gen.g(ratio), axis=-1)
-    return values, gen.g_prime(ratio), ratio
 
 
 def jr_penalty(model: mlp.MlpModel, x) -> PenaltyResult:
@@ -156,13 +150,20 @@ def _divergence_grads(model, tr: mlp.BatchTrace, spec: RegularizerSpec):
     return divergence_grads
 
 
+def _check_kind(spec: RegularizerSpec, kind: str) -> None:
+    if spec.kind != kind:
+        raise ValueError(f"a {kind} penalty needs a spec of kind {kind!r}, got {spec.kind!r}")
+
+
 def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """rpt for a batch, one RandomRows row per batch row: (values (B,), flat parameter grads)."""
+    _check_kind(spec, "rpt")
     return random_search(_divergence_grads(model, tr, spec), rows, tr.inputs.shape[1], spec.perturbation)
 
 
 def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """vat for a batch, one RandomRows row per batch row: (values, grads, perturbations (B, n))."""
+    _check_kind(spec, "vat")
     return ascent_search(_divergence_grads(model, tr, spec), rows, tr.inputs.shape[1], spec.perturbation)
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as mlp
-from .divergences import generator
-from .regularizers import (PenaltyResult, RegularizerSpec, _divergence_rows, _quadratic_form, ascent_search,
-                           random_search)
+from .divergences import _divergence_rows, generator
+from .regularizers import PenaltyResult, RegularizerSpec, _quadratic_form, ascent_search, random_search
 from .tensor import RandomRows, RandomSource, as_mat, log_sum_exp, softmax
 
 
@@ -193,4 +192,4 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
 
 def apply_span_update(model: SpanModel, grads: np.ndarray, step) -> SpanModel:
     """New span model with parameters theta - step * grad, elementwise."""
-    return model.with_params(model.params - step * grads)
+    return mlp.apply_update(model, grads, step)

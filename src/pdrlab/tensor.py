@@ -179,6 +179,8 @@ _SIMPLEX_TOL = 1e-12
 def check_simplex(p: np.ndarray, name: str = "distribution") -> np.ndarray:
     """Validate that p lies on the probability simplex (along the last axis)."""
     p = np.asarray(p, dtype=np.float64)
+    if p.ndim == 0:
+        raise ValueError(f"{name} must be an array of probabilities, got a scalar")
     if p.shape[-1] < 1:
         raise ValueError(f"{name} must have at least one entry")
     if not np.isfinite(p).all():

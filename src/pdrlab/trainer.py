@@ -18,7 +18,7 @@ import numpy as np
 from . import model as mlp
 from .data import UNLABELED, Dataset
 from .regularizers import RegularizerSpec, penalty_batch
-from .tensor import RandomSource, log_sum_exp, permutation
+from .tensor import RandomSource, permutation
 
 # stream tags under the config seed
 _SHUFFLE, _PENALTY, _INIT = 0, 1, 2
@@ -104,7 +104,7 @@ def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
     y = ds.labels[idx]
     tr = mlp.forward_batch(model, X)
     preds = np.argmax(tr.posteriors, axis=1)  # ties resolve to the lowest class
-    ces = log_sum_exp(tr.logits) - tr.logits[np.arange(idx.size), y]
+    ces = mlp.cross_entropy(tr.logits, y)
     return EvalReport(float(np.mean(preds == y)), float(np.mean(ces)), int(idx.size))
 
 

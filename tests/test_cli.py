@@ -322,7 +322,12 @@ def test_eval_missing_model_is_runtime_error(tmp_path, capsys):
       "biases": [[0.0, 0.0]]}, "weights must hold only numbers"),
     ({"format_version": 1, "layer_dims": [2, 2], "weights": [[[0.0, 0.0], [0.0, 0.0]]],
       "biases": [["0", 0.0]]}, "biases must hold only numbers"),
-], ids=["list", "no-weights", "null-dim", "float-dim", "bool-weight", "str-weight", "str-bias"])
+    ({"format_version": 1, "layer_dims": [2, 2], "weights": [[[0.0, 0.0], [0.0]]],
+      "biases": [[0.0, 0.0]]}, "layer 0 weights must be a rectangular array of numbers"),
+    ({"format_version": 1, "layer_dims": [2, 2], "weights": [[[0.0, 0.0], [0.0, 0.0]]],
+      "biases": [[0.0, [0.0]]]}, "layer 0 biases must be a rectangular array of numbers"),
+], ids=["list", "no-weights", "null-dim", "float-dim", "bool-weight", "str-weight", "str-bias",
+        "ragged-weight", "ragged-bias"])
 def test_eval_malformed_model_is_runtime_error(tmp_path, capsys, doc, fragment):
     data, model = tmp_path / "d.csv", tmp_path / "m.json"
     run_main(["gen-data", "two-moons", "--n", "10", "--out", str(data)])

@@ -219,3 +219,15 @@ def test_non_simplex_rejected():
         f_divergence(KL, np.array([0.5, 0.6]), P_HALF)
     with pytest.raises(ValueError):
         f_divergence(KL, P_HALF, np.array([0.7, 0.4]))
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: f_divergence(KL, 1.0, 1.0), "first distribution"),
+    (lambda: f_divergence(KL, P_HALF, 0.5), "second distribution"),
+    (lambda: kl_divergence(1.0, 1.0), "first distribution"),
+    (lambda: f_divergence_grad_wrt_phat(KL, P_HALF, 1.0), "second distribution"),
+    (lambda: pinsker_gap(np.float64(1.0), P_HALF), "first distribution"),
+], ids=["f_divergence", "f_divergence-reference", "kl_divergence", "grad", "pinsker_gap"])
+def test_scalar_distribution_rejected(call, fragment):
+    with pytest.raises(ValueError, match=f"{fragment} must be an array of probabilities, got a scalar"):
+        call()

@@ -463,8 +463,10 @@ def planted(key, *index, value):
     (planted("weights", 0, 0, 0, value=True), "weights must hold only numbers"),
     (planted("weights", 0, 0, 1, value="1.5"), "weights must hold only numbers"),
     (planted("biases", 0, 1, value="0"), "biases must hold only numbers"),
+    (planted("weights", 0, 1, value=[0.0]), "layer 0 weights must be a rectangular array"),
+    (planted("biases", 1, 0, value=[0.0, 1.0]), "layer 1 biases must be a rectangular array"),
 ], ids=["list", "null", "no-layer_dims", "no-weights", "no-biases", "int-layer_dims", "float-weights",
-        "null-dim", "float-dim", "bool-weight", "str-weight", "str-bias"])
+        "null-dim", "float-dim", "bool-weight", "str-weight", "str-bias", "ragged-weight", "ragged-bias"])
 def test_model_from_dict_rejects_a_malformed_document(malform, fragment):
     with pytest.raises(ValueError, match=fragment):
         mlp.model_from_dict(malform(mlp.model_to_dict(small_model())))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
-from pdrlab import properties, regularizers, spans, tensor
-from pdrlab.divergences import GENERATORS, KL, Generator, kl_divergence, l1_distance, l2_distance
+from pdrlab import divergences, properties, regularizers, spans, tensor
+from pdrlab.divergences import GENERATORS, KL, kl_divergence, l1_distance, l2_distance
 from pdrlab.properties import (
     SUITE_NAMES,
     PropertyResult,
@@ -58,31 +58,25 @@ def test_unknown_suite_rejected():
         run_suite("everything", trials=10, seed=1)
 
 
-def test_corrupted_generator_is_caught():
+def test_corrupted_generator_is_caught(monkeypatch):
     # negative control: g(1) != 0 must trip the unit-value property
-    bad = Generator(
-        "BAD",
-        g=lambda t: t * np.log(t) + 0.01,
-        g_prime=lambda t: np.log(t) + 1.0,
-        g_double_prime=lambda t: 1.0 / t,
-        curvature_at_one=1.0,
-    )
-    results = run_suite("divergence", trials=50, seed=1, generators=[bad])
+    monkeypatch.setitem(GENERATORS, "KL", replace(KL, g=lambda t: t * np.log(t) + 0.01))
+    results = run_suite("divergence", trials=50, seed=1)
     failed = {r.name for r in results if not r.passed}
     assert "generator_unit_value_zero" in failed
     # self-divergence is no longer zero either
     assert "self_divergence_exactly_zero" in failed
 
 
-def test_nonconvex_generator_is_caught():
-    bent = Generator(
-        "BENT",
+def test_nonconvex_generator_is_caught(monkeypatch):
+    bent = replace(
+        KL,
         g=lambda t: -((t - 1.0) ** 2),
         g_prime=lambda t: -2.0 * (t - 1.0),
         g_double_prime=lambda t: -2.0 * np.ones_like(t),
-        curvature_at_one=-2.0,
     )
-    results = run_suite("divergence", trials=50, seed=1, generators=[bent])
+    monkeypatch.setitem(GENERATORS, "KL", bent)
+    results = run_suite("divergence", trials=50, seed=1)
     failed = {r.name for r in results if not r.passed}
     assert "generator_convexity" in failed
     assert "divergence_nonnegative" in failed
@@ -98,14 +92,15 @@ def test_nan_slack_is_not_passed():
     assert not PropertyResult("negative_row", -1e-300).passed
 
 
-def test_nan_generator_values_are_caught():
+def test_nan_generator_values_are_caught(monkeypatch):
     # KL wherever t <= 3, NaN above: the NaNs must not vanish from the folds
     def nan_above(f):
         return lambda t: np.where(np.asarray(t) > 3.0, np.nan, f(t))
 
-    gen = Generator("NAN3", nan_above(KL.g), nan_above(KL.g_prime), nan_above(KL.g_double_prime),
-                    curvature_at_one=1.0)
-    failed = _failed(run_suite("divergence", trials=50, seed=1, generators=[gen]))
+    gen = replace(KL, g=nan_above(KL.g), g_prime=nan_above(KL.g_prime),
+                  g_double_prime=nan_above(KL.g_double_prime))
+    monkeypatch.setitem(GENERATORS, "KL", gen)
+    failed = _failed(run_suite("divergence", trials=50, seed=1))
     assert {"generator_convexity", "generator_derivatives_match_fd", "divergence_nonnegative",
             "divergence_grad_matches_fd"} <= failed
 
@@ -225,8 +220,28 @@ def test_shared_kernel_draw_scale_is_caught(monkeypatch):
 
 
 def test_doubled_curvature_is_caught(monkeypatch):
-    monkeypatch.setitem(GENERATORS, "KL", replace(KL, curvature_at_one=2.0))
+    monkeypatch.setitem(GENERATORS, "KL", replace(KL, g_double_prime=lambda t: 2.0 / t))
     assert "rpt_mean_matches_quadratic_trace" in _failed(run_suite("vat", trials=100, seed=1))
+
+
+def test_divergence_seed_error_is_caught(monkeypatch):
+    # training, the span head and verify share one kernel, so verify sees its seeds
+    clean = divergences._divergence_rows
+
+    def scaled(gen, p_hat, p):
+        values, seeds, ratio = clean(gen, p_hat, p)
+        return values, seeds * (1 + 1e-5), ratio
+
+    for module in (divergences, regularizers, spans):
+        monkeypatch.setattr(module, "_divergence_rows", scaled)
+    assert "divergence_grad_matches_fd" in _failed(run_suite("all", trials=100, seed=1))
+
+
+def test_reported_ce_error_is_caught(monkeypatch):
+    # the losses training sums into mean_ce are the values verify differentiates
+    clean = mlp.cross_entropy
+    monkeypatch.setattr(mlp, "cross_entropy", lambda logits, labels: clean(logits, labels) * (1 + 1e-3))
+    assert "ce_grads_match_fd" in _failed(run_suite("all", trials=100, seed=1))
 
 
 @pytest.mark.parametrize("factor, check", [(1.01, "spectral_le_frobenius"),

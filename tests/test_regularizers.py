@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
-from pdrlab.divergences import GENERATORS, PROB_FLOOR, f_divergence, generator
+from pdrlab.divergences import GENERATORS, PROB_FLOOR, _divergence_rows, f_divergence, generator
 from pdrlab.regularizers import (
     PerturbationConfig,
     RegularizerSpec,
     _ascent_step,
-    _divergence_rows,
     _project,
     jr_penalty,
     l2_vs_kl_bound_check,
@@ -365,6 +364,22 @@ def test_penalty_batch_dispatch():
     assert np.array_equal(values, penalty_batch(m, tr, RegularizerSpec(kind="jr"), rngs)[0])
     with pytest.raises(ValueError):
         penalty_batch(m, tr, RegularizerSpec(kind="none"), rngs)
+
+
+@pytest.mark.parametrize("fn, own, kind", [
+    (fn, own, kind)
+    for fn, own in ((rpt_penalty, "rpt"), (vat_penalty, "vat"), (rpt_penalty_batch, "rpt"), (vat_penalty_batch, "vat"))
+    for kind in ("none", "jr", "rpt", "vat") if kind != own
+], ids=lambda v: getattr(v, "__name__", v))
+def test_penalty_rejects_a_spec_of_another_kind(fn, own, kind):
+    m = small_model(59)
+    x = RandomSource(26).generator().standard_normal(3)
+    if fn in (rpt_penalty, vat_penalty):
+        args = (x, RandomSource(40))
+    else:
+        args = (mlp.forward(m, x), RandomRows.of([RandomSource(40)]))
+    with pytest.raises(ValueError, match=f"needs a spec of kind '{own}', got '{kind}'"):
+        fn(m, args[0], RegularizerSpec(kind), args[1])
 
 
 def test_quadratic_penalty_closed_form():

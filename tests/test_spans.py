@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pdrlab import model as mlp
-from pdrlab.divergences import GENERATORS, PROB_FLOOR, generator
-from pdrlab.regularizers import PerturbationConfig, RegularizerSpec, _ascent_step, _divergence_rows, _project
+from pdrlab.divergences import GENERATORS, PROB_FLOOR, _divergence_rows, generator
+from pdrlab.regularizers import PerturbationConfig, RegularizerSpec, _ascent_step, _project
 from pdrlab.properties import _fd_param_grads as fd_span_grads
 from pdrlab.properties import _grad_rel_err
 from pdrlab.spans import (
