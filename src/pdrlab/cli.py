@@ -104,7 +104,6 @@ _SCALARS = {
     "regularizer.kind": (str, "regularizer.kind"),
     "regularizer.divergence": (str, "regularizer.generator_kind"),
     "regularizer.alpha": (float, "regularizer.alpha"),
-    "regularizer.through_clean": (bool, "regularizer.through_clean"),
     "perturbation.radius": (float, "perturbation.radius"),
     "perturbation.norm": (str, "perturbation.norm_kind"),
     "perturbation.steps": (int, "perturbation.ascent_steps"),
@@ -135,14 +134,8 @@ def parse_config(text: str) -> dict:
             continue
         if key not in _SCALARS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        kind = _SCALARS[key][0]
         try:
-            if kind is bool:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError
-                cfg[key] = value.lower() == "true"
-            else:
-                cfg[key] = kind(value)
+            cfg[key] = _SCALARS[key][0](value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for {key}") from None

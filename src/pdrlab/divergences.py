@@ -117,10 +117,10 @@ def _ratio(p_hat, p):
 
 
 def _divergence_rows(gen: Generator, p_hat, p):
-    """(D_g(p_hat, p), its gradient g'(ratio) in p_hat, the floored ratio) per
-    row of unchecked distributions: the values and seeds of every caller."""
+    """(D_g(p_hat, p), its gradient g'(ratio) in p_hat) per row of unchecked
+    distributions: the values and seeds of every caller."""
     ratio = _ratio(p_hat, p)
-    return np.sum(p * gen.g(ratio), axis=-1), gen.g_prime(ratio), ratio
+    return np.sum(p * gen.g(ratio), axis=-1), gen.g_prime(ratio)
 
 
 def f_divergence(gen: Generator, p_hat, p):

@@ -13,9 +13,8 @@ perturbation:
 rpt and vat share one perturbation search for every head: `random_search`
 averages Gaussian draws and `ascent_search` climbs and projects. A head
 supplies only `divergence_grads(delta, want_param_grads)`; the span head's
-lives in `spans`. The clean posterior is a constant for gradient purposes
-(stop-gradient); `through_clean=True` additionally differentiates the
-reference branch; it is defined only for rpt and vat, which have one.
+lives in `spans`. Every penalty holds the clean posterior constant for
+gradient purposes (stop-gradient), as VAT does.
 """
 
 from __future__ import annotations
@@ -60,13 +59,10 @@ class RegularizerSpec:
     generator_kind: str = "KL"
     alpha: float = 1.0
     perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
-    through_clean: bool = False
 
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"kind must be one of {PENALTY_KINDS}, got {self.kind!r}")
-        if self.through_clean and self.kind not in ("rpt", "vat"):
-            raise ValueError(f"through_clean is defined only for rpt and vat, not {self.kind!r}")
         if not 0.0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha}")
         generator(self.generator_kind)  # validates the name
@@ -133,18 +129,14 @@ def ascent_search(divergence_grads, rows: RandomRows, n: int, cfg: PerturbationC
     return values, grads, delta
 
 
-def _divergence_grads(model, tr: mlp.BatchTrace, spec: RegularizerSpec):
+def _divergence_grads(model, tr: mlp.BatchTrace, gen: Generator):
     """The classifier's `divergence_grads`: row i's divergence from tr's
     posterior to the one at tr.inputs[i] + delta[i]."""
-    gen = generator(spec.generator_kind)
 
     def divergence_grads(delta, want_param_grads=True):
         trn = mlp.forward_batch(model, tr.inputs + delta)
-        values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        values, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         grads, xg = mlp.backward_scalar_of_posterior_batch(model, trn, seed, want_param_grads)
-        if spec.through_clean and want_param_grads:
-            seed_c = gen.g(ratio) - ratio * gen.g_prime(ratio)  # d/dp of p*g(q/p) at fixed q
-            grads = grads + mlp.backward_scalar_of_posterior_batch(model, tr, seed_c)[0]
         return values, grads, xg
 
     return divergence_grads
@@ -158,13 +150,13 @@ def _check_kind(spec: RegularizerSpec, kind: str) -> None:
 def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """rpt for a batch, one RandomRows row per batch row: (values (B,), flat parameter grads)."""
     _check_kind(spec, "rpt")
-    return random_search(_divergence_grads(model, tr, spec), rows, tr.inputs.shape[1], spec.perturbation)
+    return random_search(_divergence_grads(model, tr, generator(spec.generator_kind)), rows, tr.inputs.shape[1], spec.perturbation)
 
 
 def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """vat for a batch, one RandomRows row per batch row: (values, grads, perturbations (B, n))."""
     _check_kind(spec, "vat")
-    return ascent_search(_divergence_grads(model, tr, spec), rows, tr.inputs.shape[1], spec.perturbation)
+    return ascent_search(_divergence_grads(model, tr, generator(spec.generator_kind)), rows, tr.inputs.shape[1], spec.perturbation)
 
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:

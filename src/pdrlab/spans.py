@@ -10,8 +10,8 @@ construction.
 This module owns only the head's forward pass, score backward, loss and
 init. Its smoothness penalty sums the begin and end divergences under one
 perturbation of the whole feature matrix, which `regularizers`' shared
-searches draw or climb as one flat row. The Jacobian-norm penalty and the
-through_clean branch are not defined for this head.
+searches draw or climb as one flat row, with the clean distributions held
+constant. The Jacobian-norm penalty is not defined for this head.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _divergence_grads(model, tr: SpanTrace, gen):
 
     def divergence_grads(delta, want_param_grads=True):
         trn = span_forward(model, tr.inputs + delta.reshape(shape))
-        values, seed, _ = _divergence_rows(gen, trn.probs, tr.probs)
+        values, seed = _divergence_rows(gen, trn.probs, tr.probs)
         grads, fg = _scores_backward(model, trn, mlp._softmax_vjp(trn.probs, seed), want_param_grads)
         return values.sum(keepdims=True), grads, fg.reshape(1, -1)
 
@@ -159,15 +159,12 @@ def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomS
 
     kind rpt draws it (`random_search`), kind vat searches it (`ascent_search`)
     as one flat row, so ascent and projection norms treat the (T, n_feat)
-    matrix as a flat vector. The clean distributions are constants, so
-    through_clean is rejected.
+    matrix as a flat vector. The clean distributions are constants.
     """
     if spec.kind == "jr":
         raise ValueError("the Jacobian-norm penalty is not defined for span models")
     if spec.kind not in ("rpt", "vat"):
         raise ValueError(f"no span penalty for kind {spec.kind!r}")
-    if spec.through_clean:
-        raise ValueError("through_clean is not defined for span models")
     tr = span_forward(model, features)
     dg = _divergence_grads(model, tr, generator(spec.generator_kind))
     rows, cfg = RandomRows.of([rng]), spec.perturbation

@@ -283,8 +283,6 @@ def test_train_bad_config_key_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["perturbation.norm = l3", "perturbation.radius = -1",
                                   "regularizer.kind = foo", "regularizer.divergence = XYZ",
-                                  "regularizer.through_clean = true",
-                                  "regularizer.kind = jr\nregularizer.through_clean = true",
                                   "perturbation.radius = nan", "perturbation.eta = inf",
                                   "optimizer.learning_rate = nan", "optimizer.beta2 = -inf",
                                   "regularizer.alpha = nan", "optimizer.beta1 = 1",
@@ -351,12 +349,12 @@ def test_parse_config_values_and_comments():
     ("epochs = soon", "bad value"),
     ("turbo = on", "unknown key"),
     ("eval. = x.csv", "split name"),
-    ("regularizer.through_clean = maybe", "bad value"),
     ("optimizer.beta1 = 0.9", "unknown key"),
     ("optimizer.beta2 = 0.999", "unknown key"),
     ("optimizer.eps = 1e-8", "unknown key"),
     ("optimizer.kind = sgd", "unknown key"),
     ("lr_decay = linear", "unknown key"),
+    ("regularizer.through_clean = false", "unknown key"),
 ])
 def test_parse_config_rejects(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -366,8 +364,7 @@ def test_parse_config_rejects(text, fragment):
 def test_empty_config_builds_the_default_train_config():
     pert = PerturbationConfig(radius=0.1, norm_kind="l2", ascent_steps=1, step_size=1e-3,
                               init_std=1e-5, samples_per_example=1)
-    reg = RegularizerSpec(kind="none", generator_kind="KL", alpha=1.0, perturbation=pert,
-                          through_clean=False)
+    reg = RegularizerSpec(kind="none", generator_kind="KL", alpha=1.0, perturbation=pert)
     want = TrainConfig(epochs=30, batch_size=32, seed=1, learning_rate=1e-2, regularizer=reg)
     assert cli.build_train_config({}) == want == TrainConfig()
     assert cli.build_train_config({}, seed_override=5) == replace(want, seed=5)
@@ -378,13 +375,12 @@ def test_every_config_key_sets_its_field():
         "data = d.csv\nmodel.hidden = 4\neval.test = t.csv\n"
         "seed = 7\nepochs = 3\nbatch_size = 5\n"
         "optimizer.learning_rate = 0.5\nregularizer.kind = vat\nregularizer.divergence = JSD\n"
-        "regularizer.alpha = 2\nregularizer.through_clean = true\nperturbation.radius = 0.3\n"
+        "regularizer.alpha = 2\nperturbation.radius = 0.3\n"
         "perturbation.norm = linf\nperturbation.steps = 2\nperturbation.eta = 0.01\n"
         "perturbation.init_std = 1e-4\nperturbation.samples = 3\n")
     pert = PerturbationConfig(radius=0.3, norm_kind="linf", ascent_steps=2, step_size=0.01,
                               init_std=1e-4, samples_per_example=3)
-    reg = RegularizerSpec(kind="vat", generator_kind="JSD", alpha=2.0, perturbation=pert,
-                          through_clean=True)
+    reg = RegularizerSpec(kind="vat", generator_kind="JSD", alpha=2.0, perturbation=pert)
     assert cli.build_train_config(cfg) == TrainConfig(
         epochs=3, batch_size=5, seed=7, learning_rate=0.5, regularizer=reg)
 

@@ -71,13 +71,6 @@ def test_regularizer_spec_validation():
     RegularizerSpec(kind="vat", alpha=0.0)
 
 
-@pytest.mark.parametrize("kind", ["none", "jr"])
-def test_through_clean_is_rejected_without_a_clean_branch(kind):
-    RegularizerSpec(kind=kind)
-    with pytest.raises(ValueError, match="through_clean"):
-        RegularizerSpec(kind=kind, through_clean=True)
-
-
 # ---------------------------------------------------------------- jacobian penalty
 
 def test_jr_penalty_is_squared_frobenius_norm():
@@ -160,22 +153,6 @@ def test_rpt_grads_match_fd_with_frozen_clean_branch():
     res = rpt_penalty(m, x, spec, rng)
     fd = fd_param_grads(lambda mm: frozen_divergence(mm, x, eps, p_clean, "KL"), m)
     assert_grads_close(res.param_grads, fd)
-
-
-def test_rpt_through_clean_grads_match_fd():
-    m = small_model(23, dims=(2, 4, 3))
-    x = np.array([-0.2, 0.7])
-    rng = RandomSource(12)
-    eps = gaussian_vec(rng.split(0), 2, 0.25)
-    spec = RegularizerSpec(kind="rpt", generator_kind="SHL", through_clean=True,
-                           perturbation=PerturbationConfig(radius=0.25))
-    res = rpt_penalty(m, x, spec, rng)
-
-    def value(mm):
-        gen = GENERATORS["SHL"]
-        return f_divergence(gen, mlp.posterior(mm, x + eps), mlp.posterior(mm, x))
-
-    assert_grads_close(res.param_grads, fd_param_grads(value, m))
 
 
 def test_rpt_batch_values_ignore_batch_composition():
@@ -283,14 +260,10 @@ def loop_rpt_penalty_batch(model, tr, spec, rows):
     for s in range(cfg.samples_per_example):
         eps = gaussian_rows(rows.split(s), n, cfg.radius)
         trn = mlp.forward_batch(model, tr.inputs + eps)
-        vals, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        vals, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         values += vals
         grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
         acc += scale * grads
-        if spec.through_clean:
-            seed_c = gen.g(ratio) - ratio * gen.g_prime(ratio)
-            grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, seed_c)
-            acc += scale * grads_c
     values /= cfg.samples_per_example
     return values, acc
 
@@ -304,47 +277,36 @@ def loop_vat_penalty_batch(model, tr, spec, rows):
     delta = gaussian_rows(rows.split(0), n, cfg.init_std)
     for _ in range(cfg.ascent_steps):
         trn = mlp.forward_batch(model, tr.inputs + delta)
-        _, seed, _ = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        _, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         _, asc = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
         delta = _ascent_step(delta, asc, cfg)
     delta = _project(delta, cfg)
     trn = mlp.forward_batch(model, tr.inputs + delta)
-    values, seed, ratio = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+    values, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
     grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
-    if spec.through_clean:
-        seed_c = gen.g(ratio) - ratio * gen.g_prime(ratio)
-        grads_c, _ = mlp.backward_scalar_of_posterior_batch(model, tr, seed_c)
-        grads = grads + grads_c
     return values, grads, delta
 
 
-@pytest.mark.parametrize("through_clean", [False, True])
 @pytest.mark.parametrize("samples", [1, 3])
 @pytest.mark.parametrize("steps", [0, 1, 3])
 @pytest.mark.parametrize("norm_kind", ["l2", "linf"])
 @pytest.mark.parametrize("gen_kind", ["KL", "JSD"])
 @pytest.mark.parametrize("kind", ["rpt", "vat"])
-def test_shared_search_matches_the_loops_it_replaced(kind, gen_kind, norm_kind, steps, samples,
-                                                     through_clean):
+def test_shared_search_matches_the_loops_it_replaced(kind, gen_kind, norm_kind, steps, samples):
     m = small_model(67, dims=(3, 6, 4))
     X = RandomSource(68).generator().standard_normal((5, 3))
     tr = mlp.forward_batch(m, X)
     rows = RandomRows.of([RandomSource(69).split(i) for i in range(5)])
     cfg = PerturbationConfig(radius=0.3, norm_kind=norm_kind, ascent_steps=steps, step_size=0.05,
                              samples_per_example=samples)
-    spec = RegularizerSpec(kind=kind, generator_kind=gen_kind, perturbation=cfg,
-                           through_clean=through_clean)
+    spec = RegularizerSpec(kind=kind, generator_kind=gen_kind, perturbation=cfg)
     if kind == "rpt":
         got, want = rpt_penalty_batch(m, tr, spec, rows), loop_rpt_penalty_batch(m, tr, spec, rows)
     else:
         got, want = vat_penalty_batch(m, tr, spec, rows), loop_vat_penalty_batch(m, tr, spec, rows)
         assert np.array_equal(got[2], want[2])
     assert np.array_equal(got[0], want[0])
-    if kind == "rpt" and through_clean and samples > 1:
-        # scale * (g + g_c) against scale * g + scale * g_c: a last-bit move
-        assert np.max(np.abs(got[1] - want[1])) <= 1e-15 * np.max(np.abs(want[1]))
-    else:
-        assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[1], want[1])
 
 
 # ---------------------------------------------------------------- dispatch and bounds

@@ -237,7 +237,7 @@ def loop_span_penalty(model, features, spec, rng):
 
     def divergence_grads(delta, want_param_grads=True):
         trn = span_forward(model, tr.inputs + delta)
-        values, seed, _ = _divergence_rows(gen, trn.probs, tr.probs)
+        values, seed = _divergence_rows(gen, trn.probs, tr.probs)
         grads, fg = _scores_backward(model, trn, mlp._softmax_vjp(trn.probs, seed), want_param_grads)
         return float(values.sum()), grads, fg
 
@@ -286,14 +286,6 @@ def test_jr_kind_is_rejected_for_spans():
         span_penalty(m, random_features(1), RegularizerSpec(kind="jr"), RandomSource(1))
     with pytest.raises(ValueError):
         span_penalty(m, random_features(1), RegularizerSpec(kind="none"), RandomSource(1))
-
-
-@pytest.mark.parametrize("kind", ["rpt", "vat"])
-def test_through_clean_is_rejected_for_spans(kind):
-    m = small_span_model()
-    spec = RegularizerSpec(kind=kind, through_clean=True)
-    with pytest.raises(ValueError, match="through_clean"):
-        span_penalty(m, random_features(1), spec, RandomSource(1))
 
 
 @pytest.mark.parametrize("kind", ["rpt", "vat"])
