@@ -151,10 +151,9 @@ def l2_distance(p, q):
 
 
 def kl_divergence(p, q):
-    """Plain KL(p || q) = sum_i p_i log(p_i / q_i) with the same flooring rule."""
-    p, q = _checked_pair(p, q)
-    val = np.sum(p * np.log(_ratio(p, q)), axis=-1)
-    return float(val) if val.ndim == 0 else val
+    """Plain KL(p || q) = sum_i p_i log(p_i / q_i), which is f_divergence(KL, p, q)
+    with its floor: a zero p_i adds PROB_FLOOR * ln(PROB_FLOOR / q_i)."""
+    return f_divergence(KL, p, q)
 
 
 def pinsker_gap(p, q):

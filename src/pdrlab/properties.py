@@ -709,7 +709,8 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         feats = g.standard_normal((t, model.n_features))
         start, end = int(g.integers(t)), int(g.integers(t))
         _, grads = sp.span_loss(model, feats, start, end)
-        fd = _fd_param_grads(lambda mm: sp._span_nll(sp.span_forward(mm, feats).scores, start, end), model)
+        fd = _fd_param_grads(
+            lambda mm: mlp.cross_entropy(sp.span_forward(mm, feats).scores, [start, end]).sum(axis=-1), model)
         loss_err = _max_or_nan(loss_err, _grad_rel_err(grads, fd))
 
         spec = RegularizerSpec("vat", "KL",

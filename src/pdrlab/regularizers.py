@@ -150,13 +150,15 @@ def _check_kind(spec: RegularizerSpec, kind: str) -> None:
 def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """rpt for a batch, one RandomRows row per batch row: (values (B,), flat parameter grads)."""
     _check_kind(spec, "rpt")
-    return random_search(_divergence_grads(model, tr, generator(spec.generator_kind)), rows, tr.inputs.shape[1], spec.perturbation)
+    dg = _divergence_grads(model, tr, generator(spec.generator_kind))
+    return random_search(dg, rows, tr.inputs.shape[1], spec.perturbation)
 
 
 def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
     """vat for a batch, one RandomRows row per batch row: (values, grads, perturbations (B, n))."""
     _check_kind(spec, "vat")
-    return ascent_search(_divergence_grads(model, tr, generator(spec.generator_kind)), rows, tr.inputs.shape[1], spec.perturbation)
+    dg = _divergence_grads(model, tr, generator(spec.generator_kind))
+    return ascent_search(dg, rows, tr.inputs.shape[1], spec.perturbation)
 
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
@@ -201,6 +203,7 @@ def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     the divergence penalty at perturbation eps. J eps comes from one
     forward-mode tangent pass.
     """
+    mlp._check_one_model(model, "quadratic_penalty")
     tr = mlp.forward(model, x)
     _, dz = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64)[None, :])
     return _quadratic_form(gen, tr.posteriors, dz)

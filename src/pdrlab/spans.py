@@ -23,7 +23,7 @@ import numpy as np
 from . import model as mlp
 from .divergences import _divergence_rows, generator
 from .regularizers import PenaltyResult, RegularizerSpec, _quadratic_form, ascent_search, random_search
-from .tensor import RandomRows, RandomSource, as_mat, log_sum_exp, softmax
+from .tensor import RandomRows, RandomSource, as_mat, softmax
 
 
 class SpanModel:
@@ -108,6 +108,7 @@ def span_distributions(model: SpanModel, features) -> np.ndarray:
 
 def joint_span_table(model: SpanModel, features) -> np.ndarray:
     """(T, T) table of span probabilities P_begin(i) * P_end(j)."""
+    mlp._check_one_model(model, "joint_span_table")
     return np.outer(*span_distributions(model, features))
 
 
@@ -120,12 +121,6 @@ def _scores_backward(model, tr: SpanTrace, g_scores, want_param_grads=True):
     return np.concatenate([enc_grads, *(tr.encodings.T @ g for g in g_scores)]), fg
 
 
-def _span_nll(scores, start: int, end: int):
-    """Negative log-probability of the (start, end) span from (..., 2, T) scores."""
-    lse = log_sum_exp(scores)
-    return lse[..., 0] - scores[..., 0, start] + lse[..., 1] - scores[..., 1, end]
-
-
 def span_loss(model: SpanModel, features, start: int, end: int):
     """Negative log-probability of the (start, end) span, with flat gradients."""
     tr = span_forward(model, features)
@@ -133,7 +128,7 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     start, end = int(start), int(end)
     if not (0 <= start < t and 0 <= end < t):
         raise ValueError(f"span ({start}, {end}) out of range for {t} positions")
-    loss = _span_nll(tr.scores, start, end)
+    loss = mlp.cross_entropy(tr.scores, [start, end]).sum()
     g = tr.probs.copy()
     g[(0, 1), (start, end)] -= 1.0
     grads, _ = _scores_backward(model, tr, g)
@@ -182,6 +177,7 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
     the Jacobians of the begin and end distributions in the flattened
     features. J eps comes from one forward-mode tangent pass.
     """
+    mlp._check_one_model(model, "span_quadratic_penalty")
     tr = span_forward(model, features)
     _, d_enc = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64).reshape(tr.inputs.shape))
     return _quadratic_form(gen, tr.probs, _scores(d_enc, model.scorers))

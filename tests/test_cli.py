@@ -361,6 +361,16 @@ def test_parse_config_rejects(text, fragment):
         parse_config(text)
 
 
+def test_readme_config_block_lists_every_key():
+    # the README's sample config documents the key table; deleting or adding a
+    # key on one side only fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("`train --config` reads", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
+    assert sorted(keys) == sorted(cli._SCALARS)
+
+
 def test_empty_config_builds_the_default_train_config():
     pert = PerturbationConfig(radius=0.1, norm_kind="l2", ascent_steps=1, step_size=1e-3,
                               init_std=1e-5, samples_per_example=1)

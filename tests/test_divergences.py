@@ -60,8 +60,10 @@ def test_kl_grad_frozen():
 
 
 def test_pinsker_gap_frozen():
-    # KL([1,0],[.5,.5]) = ln 2 and the L1 distance is 1
-    assert pinsker_gap(np.array([1.0, 0.0]), P_HALF) == pytest.approx(2.0 * math.log(2.0) - 1.0, abs=1e-12)
+    # KL([1,0],[.5,.5]) = .5 g(2) + .5 g(1e-12 / .5) with g(t) = t ln t, since the
+    # zero entry is floored at 1e-12: ln 2 + 1e-12 ln(2e-12). The L1 distance is 1.
+    want = 2.0 * (math.log(2.0) + 1e-12 * math.log(2e-12)) - 1.0
+    assert pinsker_gap(np.array([1.0, 0.0]), P_HALF) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,want", [("KL", 1.0), ("RKL", 1.0), ("SHL", 0.5), ("JSD", 0.25)])
@@ -127,7 +129,9 @@ def test_nonnegative_on_interior_pairs(kind):
 
 def test_kl_generator_matches_direct_formula():
     a, b = interior_pairs(4, n=300)
-    assert np.allclose(f_divergence(KL, a, b), kl_divergence(a, b), atol=1e-12)
+    direct = np.sum(a * np.log(a / b), axis=-1)  # interior pairs: the floor never acts
+    assert np.allclose(f_divergence(KL, a, b), direct, atol=1e-12)
+    assert np.array_equal(kl_divergence(a, b), f_divergence(KL, a, b))
 
 
 def test_reverse_kl_is_kl_with_arguments_swapped():

@@ -5,13 +5,12 @@ import pytest
 
 from pdrlab import model as mlp
 from pdrlab.divergences import GENERATORS, PROB_FLOOR, _divergence_rows, generator
-from pdrlab.regularizers import PerturbationConfig, RegularizerSpec, _ascent_step, _project
+from pdrlab.regularizers import PerturbationConfig, RegularizerSpec, _ascent_step, _project, quadratic_penalty
 from pdrlab.properties import _fd_param_grads as fd_span_grads
 from pdrlab.properties import _grad_rel_err
 from pdrlab.spans import (
     SpanModel,
     _scores_backward,
-    _span_nll,
     apply_span_update,
     init_span_model,
     joint_span_table,
@@ -171,8 +170,21 @@ def test_span_loss_grads_match_fd():
     m = small_span_model(15, dims=(2, 4, 3))
     f = random_features(16, t=4, n_feat=2)
     _, grads = span_loss(m, f, 0, 2)
-    fd = fd_span_grads(lambda mm: _span_nll(span_forward(mm, f).scores, 0, 2), m)
+    fd = fd_span_grads(lambda mm: mlp.cross_entropy(span_forward(mm, f).scores, [0, 2]).sum(axis=-1), m)
     assert_span_grads_close(grads, fd)
+
+
+@pytest.mark.parametrize("call", [
+    lambda span, f: quadratic_penalty(span.encoder, f[0], GENERATORS["KL"], np.ones(f.shape[1])),
+    lambda span, f: span_quadratic_penalty(span, f, GENERATORS["KL"], np.ones(f.size)),
+    lambda span, f: joint_span_table(span, f),
+], ids=["quadratic_penalty", "span_quadratic_penalty", "joint_span_table"])
+def test_one_model_functions_reject_a_parameter_stack(call):
+    # each would otherwise sum a stack's slices into one number or one table
+    models = [small_span_model(s) for s in (1, 2)]
+    stack = SpanModel(models[0].enc_dims, np.stack([m.params for m in models]))
+    with pytest.raises(ValueError, match="takes one model, not a parameter stack of 2"):
+        call(stack, random_features(3, t=4))
 
 
 def test_loss_step_decreases_loss():
