@@ -287,7 +287,8 @@ def loop_vat_penalty_batch(model, tr, spec, rows):
     return values, grads, delta
 
 
-@pytest.mark.parametrize("samples", [1, 3])
+# The "-False" id suffix is kept from when this test also ran a through_clean=True half.
+@pytest.mark.parametrize("samples", [1, 3], ids=lambda s: f"{s}-False")
 @pytest.mark.parametrize("steps", [0, 1, 3])
 @pytest.mark.parametrize("norm_kind", ["l2", "linf"])
 @pytest.mark.parametrize("gen_kind", ["KL", "JSD"])
