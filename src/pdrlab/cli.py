@@ -81,7 +81,6 @@ def _build_parser() -> _Parser:
     div.add_argument("--kind", default="KL", help="one of " + ", ".join(GENERATOR_KINDS))
     div.add_argument("--p", required=True, help="comma-separated perturbed distribution")
     div.add_argument("--q", required=True, help="comma-separated reference distribution")
-    div.add_argument("--swap", action="store_true", help="exchange the two arguments")
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("--suite", default="all", choices=list(props.SUITE_NAMES) + ["all"])
@@ -297,12 +296,9 @@ def _cmd_divergence(args) -> int:
     q = _parse_distribution(args.q, "--q")
     if p.size != q.size:
         raise ConfigError(f"--p has {p.size} entries but --q has {q.size}")
-    ref = "--q"
-    if args.swap:
-        p, q, ref = q, p, "--p"
     # each term is weighted by the reference, so one where it is floored would drop out
     if np.any(q < PROB_FLOOR):
-        raise ConfigError(f"{ref} is the reference: its entries must be at least {PROB_FLOOR:g}")
+        raise ConfigError(f"--q is the reference: its entries must be at least {PROB_FLOOR:g}")
     print(f"{f_divergence(gen, p, q):.12g}")
     return 0
 

@@ -3,7 +3,7 @@
 The network maps an n-vector through tanh hidden layers to softmax class
 probabilities. All differentiation is written out by hand: cross-entropy
 backward, backward of any scalar of the posterior (seeded at the posterior),
-and tangents along input directions. The posterior's input Jacobian is
+and the logit tangent along input directions. The posterior's input Jacobian is
 accumulated from the output side as (B, m, h) arrays, and the parameter
 gradient of its squared norm is one reverse sweep over that accumulation.
 
@@ -286,17 +286,13 @@ def input_jacobian(model, x) -> np.ndarray:
 def _tangent(model, tr, direction):
     """Forward-mode pass along input directions, one per row of `direction`.
 
-    tr needs `inputs` and `hiddens` as a BatchTrace has them. Returns
-    (per hidden layer: (pre-activation tangent, activation tangent); tangent
-    of the linear last-layer outputs).
+    tr needs `hiddens` as a BatchTrace has them. Returns the tangent of the
+    linear last-layer outputs.
     """
-    tangents = []
     da = direction
     for w, a in zip(model.weights[:-1], tr.hiddens):
-        dz = da @ w.mT
-        da = (1.0 - a * a) * dz
-        tangents.append((dz, da))
-    return tangents, da @ model.weights[-1].mT
+        da = (1.0 - a * a) * (da @ w.mT)
+    return da @ model.weights[-1].mT
 
 
 def jacobian_sq_norm_grads_batch(model, tr: BatchTrace):

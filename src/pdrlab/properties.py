@@ -469,7 +469,7 @@ def _second_order_instance(rng: RandomSource, i: int):
         eps = gaussian_vec(rng.split(i, attempt, 1), x.size)
         eps /= np.linalg.norm(eps)
         tr = mlp.forward(model, x)
-        _, dz = mlp._tangent(model, tr, eps[None, :])
+        dz = mlp._tangent(model, tr, eps[None, :])
         q = {kind: _quadratic_form(gen, tr.posteriors, dz) for kind, gen in GENERATORS.items()}
         if min(q.values()) > 1e-3:
             return model, x, eps, q
@@ -512,7 +512,7 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         src = rng.split(31, i, 8)
         mc = rpt_penalty(model, x, spec, src).value
         draws = gaussian_rows(src.split_rows(np.arange(n_draws)), x.size, c)  # rpt_penalty's draws
-        _, dz = mlp._tangent(model, tr, draws[:, None, :])  # one-row tangents, stacked
+        dz = mlp._tangent(model, tr, draws[:, None, :])  # one-row tangents, stacked
         q_mean = _quadratic_form(gen, tr.posteriors, dz) / n_draws
         estimate = mc - q_mean + expected
         mc_err = _max_or_nan(mc_err, abs(estimate - expected) / expected)
@@ -643,7 +643,8 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
                               f"max deviation = {perm_dev:.3e}"))
 
     model = _random_span_model(rng.split(41))
-    zero = sp.make_span_model(model.encoder, np.zeros_like(model.scorers))
+    n_enc = mlp.n_params(model.enc_dims)
+    zero = model.with_params(np.concatenate([model.params[:n_enc], np.zeros(model.scorers.size)]))
     g = rng.split(41, 1).generator()
     t = 6
     feats = g.standard_normal((t, model.n_features))

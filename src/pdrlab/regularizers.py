@@ -205,7 +205,7 @@ def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     """
     mlp._check_one_model(model, "quadratic_penalty")
     tr = mlp.forward(model, x)
-    _, dz = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64)[None, :])
+    dz = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64)[None, :])
     return _quadratic_form(gen, tr.posteriors, dz)
 
 

@@ -28,12 +28,13 @@ from .tensor import RandomRows, RandomSource, as_mat, softmax
 
 class SpanModel:
     """Immutable parameters in one read-only float64 vector laid out
-    [encoder layout, w_begin, w_end]. `weights` and `biases` are the
-    encoder's per-layer views into the leading slice (its last layer is the
-    linear encoding), so the MLP passes run on a SpanModel directly;
-    `scorers` is the (2, d) view of the trailing [w_begin, w_end]. Parameter
-    gradients are flat arrays in the same layout. An (S, P) stack of
-    parameter vectors gives (S, 2, d) scorers and stacked encoder views.
+    [encoder layout, w_begin, w_end]; the encoder's are the leading
+    mlp.n_params(enc_dims). `weights` and `biases` are its per-layer views
+    (its last layer is the linear encoding), so the MLP passes run on a
+    SpanModel directly; `scorers` is the (2, d) view of the trailing
+    [w_begin, w_end]. Parameter gradients are flat arrays in the same
+    layout. An (S, P) stack of parameter vectors gives (S, 2, d) scorers
+    and stacked encoder views.
     """
 
     __slots__ = ("enc_dims", "params", "weights", "biases", "scorers")
@@ -47,18 +48,8 @@ class SpanModel:
     def n_features(self) -> int:
         return self.enc_dims[0]
 
-    @property
-    def encoder(self) -> mlp.MlpModel:
-        """The encoder as a stand-alone MlpModel over the leading slice."""
-        return mlp.MlpModel(self.enc_dims, self.params[..., : mlp.n_params(self.enc_dims)])
-
     def with_params(self, params) -> "SpanModel":
         return SpanModel(self.enc_dims, params)
-
-
-def make_span_model(encoder: mlp.MlpModel, scorers) -> SpanModel:
-    """Span model from an encoder and a (2, d) scorer array, begin row first."""
-    return SpanModel(encoder.layer_dims, np.concatenate([encoder.params, np.ravel(scorers)]))
 
 
 @dataclass(frozen=True)
@@ -76,8 +67,8 @@ class SpanTrace:
 def init_span_model(enc_dims, rng: RandomSource) -> SpanModel:
     encoder = mlp.init_mlp(enc_dims, rng.split(0))
     d = encoder.layer_dims[-1]
-    return make_span_model(encoder, [rng.split(1, k).generator().standard_normal(d) / np.sqrt(d)
-                                     for k in (0, 1)])
+    scorers = [rng.split(1, k).generator().standard_normal(d) / np.sqrt(d) for k in (0, 1)]
+    return SpanModel(encoder.layer_dims, np.concatenate([encoder.params, *scorers]))
 
 
 def _check_features(model: SpanModel, features) -> np.ndarray:
@@ -179,7 +170,7 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
     """
     mlp._check_one_model(model, "span_quadratic_penalty")
     tr = span_forward(model, features)
-    _, d_enc = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64).reshape(tr.inputs.shape))
+    d_enc = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64).reshape(tr.inputs.shape))
     return _quadratic_form(gen, tr.probs, _scores(d_enc, model.scorers))
 
 

@@ -399,7 +399,7 @@ def test_every_config_key_sets_its_field():
 
 @pytest.mark.parametrize("argv,want", [
     (["divergence", "--kind", "KL", "--p", "0.5,0.5", "--q", "0.25,0.75"], "0.143841036226"),
-    (["divergence", "--kind", "KL", "--p", "0.5,0.5", "--q", "0.25,0.75", "--swap"], "0.130812035941"),
+    (["divergence", "--kind", "KL", "--p", "0.25,0.75", "--q", "0.5,0.5"], "0.130812035941"),
     (["divergence", "--kind", "SHL", "--p", "0.5,0.5", "--q", "0.25,0.75"], "0.0681483474219"),
     (["divergence", "--kind", "JSD", "--p", "0.5,0.5", "--q", "0.5,0.5"], "0"),
     (["divergence", "--kind", "KL", "--p", "1,0", "--q", "0.5,0.5"], "0.693147180533"),
@@ -412,7 +412,7 @@ def test_divergence_frozen_outputs(argv, want, capsys):
 def test_divergence_swap_is_symmetric_for_jsd(capsys):
     run_main(["divergence", "--kind", "JSD", "--p", "0.1,0.9", "--q", "0.6,0.4"])
     plain = capsys.readouterr().out
-    run_main(["divergence", "--kind", "JSD", "--p", "0.1,0.9", "--q", "0.6,0.4", "--swap"])
+    run_main(["divergence", "--kind", "JSD", "--p", "0.6,0.4", "--q", "0.1,0.9"])
     assert capsys.readouterr().out == plain
 
 
@@ -429,7 +429,6 @@ def test_divergence_normalizes_tiny_drift(capsys):
     ["divergence", "--kind", "XYZ", "--p", "0.5,0.5", "--q", "0.5,0.5"],
     ["divergence", "--p=-0.5,1.5", "--q", "0.5,0.5"],          # negative entry
     ["divergence", "--kind", "KL", "--p", "0.5,0.5", "--q", "1,0"],   # reference has a zero
-    ["divergence", "--p", "1,0", "--q", "0.5,0.5", "--swap"],         # --p is the reference
 ])
 def test_divergence_bad_inputs_exit_one(argv, capsys):
     assert run_main(argv) == 1

@@ -14,7 +14,6 @@ from pdrlab.spans import (
     apply_span_update,
     init_span_model,
     joint_span_table,
-    make_span_model,
     span_distributions,
     span_forward,
     span_loss,
@@ -80,8 +79,8 @@ def test_init_is_deterministic():
 
 def test_params_are_encoder_then_scorers():
     m = small_span_model(3, dims=(3, 5, 4))
-    n_enc = m.encoder.params.size
-    assert np.array_equal(m.params[:n_enc], m.encoder.params)
+    n_enc = mlp.n_params(m.enc_dims)
+    assert np.array_equal(m.params[:n_enc], mlp.init_mlp(m.enc_dims, RandomSource(3).split(0)).params)
     assert np.array_equal(m.params[n_enc:], m.scorers.ravel())
     with pytest.raises(ValueError):
         m.scorers[1, 0] = 1.0
@@ -93,7 +92,7 @@ def test_params_are_encoder_then_scorers():
 @pytest.mark.parametrize("where", ["w_begin", "w_end", "encoder"])
 def test_non_finite_parameters_are_rejected_at_construction(bad, where):
     m = small_span_model(3)
-    n_enc, d = m.encoder.params.size, m.scorers.shape[1]
+    n_enc, d = mlp.n_params(m.enc_dims), m.scorers.shape[1]
     params = m.params.copy()
     params[{"encoder": 0, "w_begin": n_enc, "w_end": n_enc + 2 * d - 1}[where]] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -143,7 +142,7 @@ def test_feature_validation():
 
 def test_zero_scorers_give_uniform_loss():
     m = small_span_model(9)
-    m = make_span_model(m.encoder, np.zeros_like(m.scorers))
+    m = m.with_params(np.concatenate([m.params[: mlp.n_params(m.enc_dims)], np.zeros(m.scorers.size)]))
     t = 6
     loss, _ = span_loss(m, random_features(10, t=t), 2, 4)
     assert loss == pytest.approx(2.0 * math.log(t), abs=1e-12)
@@ -175,7 +174,8 @@ def test_span_loss_grads_match_fd():
 
 
 @pytest.mark.parametrize("call", [
-    lambda span, f: quadratic_penalty(span.encoder, f[0], GENERATORS["KL"], np.ones(f.shape[1])),
+    lambda span, f: quadratic_penalty(mlp.MlpModel(span.enc_dims, span.params[..., : mlp.n_params(span.enc_dims)]),
+                                      f[0], GENERATORS["KL"], np.ones(f.shape[1])),
     lambda span, f: span_quadratic_penalty(span, f, GENERATORS["KL"], np.ones(f.size)),
     lambda span, f: joint_span_table(span, f),
 ], ids=["quadratic_penalty", "span_quadratic_penalty", "joint_span_table"])
