@@ -77,6 +77,7 @@ class PenaltyResult:
 
 def jr_penalty(model: mlp.MlpModel, x) -> PenaltyResult:
     """||d posterior / d input||_F^2 with its exact parameter gradient."""
+    mlp._check_one_model(model, "jr_penalty")
     values, grads = mlp.jacobian_sq_norm_grads_batch(model, mlp.forward(model, x))
     return PenaltyResult(float(values[0]), grads)
 
@@ -163,12 +164,14 @@ def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: Ra
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence under a Gaussian draw for one example."""
+    mlp._check_one_model(model, "rpt_penalty")
     values, grads = rpt_penalty_batch(model, mlp.forward(model, x), spec, RandomRows.of([rng]))
     return PenaltyResult(float(values[0]), grads)
 
 
 def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence at the adversarial perturbation for one example."""
+    mlp._check_one_model(model, "vat_penalty")
     values, grads, delta = vat_penalty_batch(model, mlp.forward(model, x), spec, RandomRows.of([rng]))
     return PenaltyResult(float(values[0]), grads, delta[0])
 
@@ -218,6 +221,7 @@ def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource
     Draw t is gaussian_vec(rng.split(t), x.size) scaled to norm c, all drawn in
     one call and held as a (trials, 1, n) stack, so each rounds as it would alone.
     """
+    mlp._check_one_model(model, "l2_vs_kl_bound_check")
     x = np.asarray(x, dtype=np.float64)
     tr = mlp.forward(model, x)
     p = tr.posteriors[0]

@@ -114,6 +114,7 @@ def _scores_backward(model, tr: SpanTrace, g_scores, want_param_grads=True):
 
 def span_loss(model: SpanModel, features, start: int, end: int):
     """Negative log-probability of the (start, end) span, with flat gradients."""
+    mlp._check_one_model(model, "span_loss")
     tr = span_forward(model, features)
     t = tr.inputs.shape[0]
     start, end = int(start), int(end)
@@ -147,6 +148,7 @@ def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomS
     as one flat row, so ascent and projection norms treat the (T, n_feat)
     matrix as a flat vector. The clean distributions are constants.
     """
+    mlp._check_one_model(model, "span_penalty")
     if spec.kind == "jr":
         raise ValueError("the Jacobian-norm penalty is not defined for span models")
     if spec.kind not in ("rpt", "vat"):

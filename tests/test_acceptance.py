@@ -4,8 +4,10 @@ Each test prints a single PASS/FAIL line with the measured quantities; the
 assert repeats the line so failures carry the same detail. Tests 06-08
 re-run frozen training protocols whose hyperparameters were fixed once by a
 calibration run; the calibrated reference means sit in comments next to the
-constants so drift is easy to diagnose. Everything here is deterministic in
-the seeds written below.
+constants so drift is easy to diagnose. Before their verdicts they print
+each seed's paired accuracy difference, since a gap between means can sit
+well inside seed noise. Everything here is deterministic in the seeds
+written below.
 """
 
 import functools
@@ -40,6 +42,15 @@ def _verdict(num: int, label: str, ok: bool, detail: str):
     line = f"criterion {num:02d} {label}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
+
+
+def _paired(num: int, label: str, accs, base):
+    """Print accs - base per seed in percentage points, and on how many seeds
+    accs wins, ties and loses."""
+    diff = 100 * (np.asarray(accs) - np.asarray(base))
+    wins, ties = int(np.sum(diff > 0)), int(np.sum(diff == 0))
+    print(f"criterion {num:02d} paired {label}, pp by seed: " + " ".join(f"{d:+.2f}" for d in diff)
+          + f"; wins/ties/losses {wins}/{ties}/{diff.size - wins - ties}")
 
 
 # ------------------------------------------------------------------------ 01
@@ -303,11 +314,14 @@ def test_criterion_06_in_domain_trend():
     # calibrated means: STD 92.21, RPT_KL 93.07, RPT_JSD 93.35,
     #                   VAT_KL 93.29, VAT_JSD 93.85
     t0 = time.time()
-    means = {}
-    for name, spec in _trend_variants().items():
-        means[name] = float(np.mean([_trend_accuracy(spec, s) for s in _TREND_SEEDS]))
+    accs = {name: [_trend_accuracy(spec, s) for s in _TREND_SEEDS]
+            for name, spec in _trend_variants().items()}
+    means = {name: float(np.mean(a)) for name, a in accs.items()}
     elapsed = time.time() - t0
     others = {k: v for k, v in means.items() if k != "STD"}
+    for name in others:
+        _paired(6, f"{name} - STD", accs[name], accs["STD"])
+    _paired(6, "VAT_JSD - VAT_KL", accs["VAT_JSD"], accs["VAT_KL"])
     ok = (means["VAT_JSD"] >= means["VAT_KL"] - 0.005
           and min(others.values()) >= means["STD"] - 0.005
           and max(others.values()) >= means["STD"] + 0.01
@@ -336,6 +350,7 @@ def test_criterion_07_spurious_bias_robustness():
     std, vat = float(np.mean(accs["STD"])), float(np.mean(accs["VAT_KL"]))
     elapsed = time.time() - t0
     ok = vat >= std + 0.05 and elapsed < 600.0
+    _paired(7, "VAT_KL - STD", accs["VAT_KL"], accs["STD"])
     _verdict(7, "spurious-bias robustness", ok,
              f"adversarial-eval STD {100 * std:.2f} vs VAT_KL {100 * vat:.2f}, {elapsed:.0f}s")
 
@@ -361,6 +376,8 @@ def test_criterion_08_semi_supervised_matches_fully_labeled():
     best = max(float(np.mean(kl_accs)), float(np.mean(jsd_accs)))
     elapsed = time.time() - t0
     ok = best >= std - 0.01 and elapsed < 600.0
+    _paired(8, "VAT_KL half labels - STD", kl_accs, std_accs)
+    _paired(8, "VAT_JSD half labels - STD", jsd_accs, std_accs)
     _verdict(8, "semi-supervised vs fully labeled", ok,
              f"best VAT at half labels {100 * best:.2f} vs fully labeled STD {100 * std:.2f}, "
              f"{elapsed:.0f}s")

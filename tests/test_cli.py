@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -369,6 +371,17 @@ def test_readme_config_block_lists_every_key():
     lines = [line.split("#", 1)[0] for line in block.splitlines()]
     keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
     assert sorted(keys) == sorted(cli._SCALARS)
+
+
+def test_readme_command_line_lists_every_flag():
+    # the README's "Command line" section documents every subcommand flag;
+    # a flag on one side only fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n### ", 1)[0]
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for parser in subcommands.choices.values() for action in parser._actions
+             if not isinstance(action, argparse._HelpAction) for opt in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
 
 
 def test_empty_config_builds_the_default_train_config():

@@ -345,6 +345,20 @@ def test_penalty_rejects_a_spec_of_another_kind(fn, own, kind):
         fn(m, args[0], RegularizerSpec(kind), args[1])
 
 
+@pytest.mark.parametrize("fn, args", [
+    (jr_penalty, ()),
+    (rpt_penalty, (RegularizerSpec("rpt"), RandomSource(40))),
+    (vat_penalty, (RegularizerSpec("vat"), RandomSource(40))),
+    (l2_vs_kl_bound_check, (0.1, 5, RandomSource(28))),
+], ids=["jr_penalty", "rpt_penalty", "vat_penalty", "l2_vs_kl_bound_check"])
+def test_one_example_functions_reject_a_parameter_stack(fn, args):
+    # each would otherwise fail inside numpy, with a message that names no stack
+    models = [small_model(s) for s in (1, 2)]
+    stack = mlp.MlpModel(models[0].layer_dims, np.stack([m.params for m in models]))
+    with pytest.raises(ValueError, match=f"^{fn.__name__} takes one model, not a parameter stack of 2$"):
+        fn(stack, np.array([0.2, 0.4, -0.1]), *args)
+
+
 def test_quadratic_penalty_closed_form():
     m = small_model(61)
     x = np.array([0.5, -0.5, 0.1])

@@ -178,9 +178,12 @@ def test_span_loss_grads_match_fd():
                                       f[0], GENERATORS["KL"], np.ones(f.shape[1])),
     lambda span, f: span_quadratic_penalty(span, f, GENERATORS["KL"], np.ones(f.size)),
     lambda span, f: joint_span_table(span, f),
-], ids=["quadratic_penalty", "span_quadratic_penalty", "joint_span_table"])
+    lambda span, f: span_loss(span, f, 1, 2),
+    lambda span, f: span_penalty(span, f, RegularizerSpec("rpt"), RandomSource(4)),
+], ids=["quadratic_penalty", "span_quadratic_penalty", "joint_span_table", "span_loss", "span_penalty"])
 def test_one_model_functions_reject_a_parameter_stack(call):
-    # each would otherwise sum a stack's slices into one number or one table
+    # each would otherwise sum a stack's slices into one number or one table,
+    # or fail inside numpy with a message that names no stack
     models = [small_span_model(s) for s in (1, 2)]
     stack = SpanModel(models[0].enc_dims, np.stack([m.params for m in models]))
     with pytest.raises(ValueError, match="takes one model, not a parameter stack of 2"):
