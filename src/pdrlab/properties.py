@@ -3,7 +3,9 @@
 Each suite returns PropertyResult rows; a row passes when its slack is
 nonnegative (slack = how far the measurement stayed on the right side of its
 threshold), so a NaN slack fails. The suites are deterministic in
-(trials, seed) and are what the `verify` command runs.
+(trials, seed) and are what the `verify` command runs. Each shared procedure is
+written once: `_decade_law` checks D(t) = t^2 q + O(t^3) at _DECADES and
+`_decade_row` folds its cases into a row; `_fd_row` folds parameter-FD errors.
 """
 
 from __future__ import annotations
@@ -132,18 +134,27 @@ def _drift_slack(ratios, floor: float) -> float:
     return 5.0 * _max_or_nan(ratios[0], ratios[1]) + floor - ratios[2]
 
 
-def _decade_law(divergence_at, q: float):
-    """(drift slack, law slack, cubic-remainder ratio at t = 1e-3) of D(t) = t^2 q + O(t^3).
+def _decade_law(values, q: float):
+    """(drift slack, law slack, cubic-remainder ratio at t = 1e-3) of D(t) = t^2 q + O(t^3)
+    for divergence values D(t) at _DECADES: the cubic-remainder ratios obey
+    _drift_slack, and D(1e-4) / t^2 must match q to 1e-3 relative."""
+    ratios = [abs(d - t * t * q) / t ** 3 for t, d in zip(_DECADES, values)]
+    law = 1e-3 * max(q, 1e-9) - abs(values[2] / _DECADES[2] / _DECADES[2] - q)
+    return _drift_slack(ratios, 1e-3 * max(1.0, q)), law, ratios[1]
 
-    The cubic-remainder ratio obeys _drift_slack, and D(1e-4) / t^2 must match
-    q to 1e-3 relative.
-    """
-    ratios = []
-    for t in _DECADES:
-        d = divergence_at(t)
-        ratios.append(abs(d - t * t * q) / t ** 3)
-    drift = _drift_slack(ratios, 1e-3 * max(1.0, q))
-    return drift, 1e-3 * max(q, 1e-9) - abs(d / t / t - q), ratios[1]
+
+def _decade_row(name: str, cases) -> PropertyResult:
+    """One row over (kind, values at _DECADES, q) cases: the least _decade_law
+    slack, and each kind of GENERATORS' mean cubic-remainder ratio."""
+    law_slack = drift_slack = math.inf
+    ratios = {kind: [] for kind in GENERATORS}
+    for kind, values, q in cases:
+        drift, law, ratio = _decade_law(values, q)
+        drift_slack = _min_or_nan(drift_slack, drift)
+        law_slack = _min_or_nan(law_slack, law)
+        ratios[kind].append(ratio)
+    return PropertyResult(name, _min_or_nan(law_slack, drift_slack), "cubic-remainder ratios " + " ".join(
+        f"{kind}:{np.mean(r):.2f}" for kind, r in ratios.items()))
 
 
 def _fd_param_grads(value_fn, model) -> np.ndarray:
@@ -180,6 +191,12 @@ def _grad_rel_err(analytic: np.ndarray, fd: np.ndarray) -> float:
     relative to the largest FD entry or _FD_SCALE_FLOOR, whichever is larger."""
     scale = max(_FD_SCALE_FLOOR, float(np.max(np.abs(fd))))
     return float(np.max(np.abs(analytic - fd))) / scale
+
+
+def _fd_row(name: str, errs) -> PropertyResult:
+    """One parameter-FD row: the worst _grad_rel_err of errs against _FD_GATE."""
+    err = _max_or_nan(0.0, *errs)
+    return PropertyResult(name, _FD_GATE - err, f"max relative deviation = {err:.3e}")
 
 
 # ---------------------------------------------------------------- divergence
@@ -356,33 +373,28 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     out.append(PropertyResult("spectral_le_frobenius", sp_fro_slack + 1e-12,
                               f"min frobenius - spectral = {sp_fro_slack:.3e}"))
 
-    n_grad = max(50, trials // 20)
-    ce_err = 0.0
-    seed_err = 0.0
-    jr_err = 0.0
-    for i in range(n_grad):
+    ce_errs, seed_errs, jr_errs = [], [], []
+    for i in range(max(50, trials // 20)):
         model, x = _model_instance(rng.split(22), i)
         g = rng.split(22, i, 5).generator()
         label = int(g.integers(model.n_classes))
         tr = mlp.forward(model, x)
         _, grads, _ = mlp.backward_ce_batch(model, tr, [label])
         fd = _fd_param_grads(lambda mm: _ce_at(mm, x, label), model)
-        ce_err = _max_or_nan(ce_err, _grad_rel_err(grads, fd))
+        ce_errs.append(_grad_rel_err(grads, fd))
 
         s = g.standard_normal(model.n_classes)
         grads, _ = mlp.backward_scalar_of_posterior_batch(model, tr, s[None, :])
         # (S, 1, m) @ s: each slice rounds as the (m,) @ s dot of one model
         fd = _fd_param_grads(lambda mm: (mlp.forward(mm, x).posteriors @ s)[..., 0], model)
-        seed_err = _max_or_nan(seed_err, _grad_rel_err(grads, fd))
+        seed_errs.append(_grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)
         fd = _fd_param_grads(lambda mm: _jacobian_sq_norm_at(mm, x), model)
-        jr_err = _max_or_nan(jr_err, _grad_rel_err(res.param_grads, fd))
-    out.append(PropertyResult("ce_grads_match_fd", _FD_GATE - ce_err, f"max relative deviation = {ce_err:.3e}"))
-    out.append(PropertyResult("posterior_scalar_grads_match_fd", _FD_GATE - seed_err,
-                              f"max relative deviation = {seed_err:.3e}"))
-    out.append(PropertyResult("jacobian_norm_grads_match_fd", _FD_GATE - jr_err,
-                              f"max relative deviation = {jr_err:.3e}"))
+        jr_errs.append(_grad_rel_err(res.param_grads, fd))
+    out.append(_fd_row("ce_grads_match_fd", ce_errs))
+    out.append(_fd_row("posterior_scalar_grads_match_fd", seed_errs))
+    out.append(_fd_row("jacobian_norm_grads_match_fd", jr_errs))
 
     closed_dev = 0.0
     for i in range(n_models):
@@ -419,25 +431,15 @@ def jacobian_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     out.append(PropertyResult("distance_and_jacobian_chains", chain_worst + 1e-10,
                               f"min slack across links over {n_chain} points = {chain_worst:.3e}"))
 
-    ratio_details = []
-    law_slack = math.inf
-    drift_slack = math.inf
-    n_law = max(25, trials // 10)
+    cases = []
     for ki, (kind, gen) in enumerate(GENERATORS.items()):
-        ratios_all = []
-        for i in range(n_law):
+        for i in range(max(25, trials // 10)):
             # split on the kind's position, not hash(kind): str hashes are
             # salted per process and would break cross-run determinism
             model, x, eps, q = _second_order_instance(rng.split(26, ki), i)
             p = mlp.posterior(model, x)
-            drift, law, ratio = _decade_law(
-                lambda t: f_divergence(gen, mlp.posterior(model, x + t * eps), p), q[kind])
-            drift_slack = _min_or_nan(drift_slack, drift)
-            law_slack = _min_or_nan(law_slack, law)
-            ratios_all.append(ratio)
-        ratio_details.append(f"{kind}:{np.mean(ratios_all):.2f}")
-    out.append(PropertyResult("second_order_law_decades", _min_or_nan(law_slack, drift_slack),
-                              "cubic-remainder ratios " + " ".join(ratio_details)))
+            cases.append((kind, [f_divergence(gen, mlp.posterior(model, x + t * eps), p) for t in _DECADES], q[kind]))
+    out.append(_decade_row("second_order_law_decades", cases))
 
     zero_dev = 0.0
     for kind, gen in GENERATORS.items():
@@ -580,8 +582,7 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         dev = _max_or_nan(dev, abs(v0.value - direct))
     out.append(PropertyResult("vat_zero_steps_is_projected_draw", -dev, f"max |difference| = {dev:.3e}"))
 
-    rpt_err = 0.0
-    vat_err = 0.0
+    rpt_errs, vat_errs = [], []
     for i in range(max(25, trials // 40)):
         model, x = _model_instance(rng.split(35), i)
         src = rng.split(35, i, 2)
@@ -596,17 +597,15 @@ def vat_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
                 q = mlp.posterior(mm, x + eps)
                 return f_divergence(gen, q, np.broadcast_to(p_clean, q.shape))
 
-            rpt_err = _max_or_nan(rpt_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
+            rpt_errs.append(_grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
 
             vspec = RegularizerSpec("vat", kind,
                                     perturbation=PerturbationConfig(radius=0.2, ascent_steps=2))
             vres = vat_penalty(model, x, vspec, src)
             fd = _fd_param_grads(lambda mm: frozen(mm, eps=vres.adversarial_direction), model)
-            vat_err = _max_or_nan(vat_err, _grad_rel_err(vres.param_grads, fd))
-    out.append(PropertyResult("rpt_grads_match_fd", _FD_GATE - rpt_err,
-                              f"max relative deviation = {rpt_err:.3e}"))
-    out.append(PropertyResult("vat_grads_match_fd", _FD_GATE - vat_err,
-                              f"max relative deviation = {vat_err:.3e}"))
+            vat_errs.append(_grad_rel_err(vres.param_grads, fd))
+    out.append(_fd_row("rpt_grads_match_fd", rpt_errs))
+    out.append(_fd_row("vat_grads_match_fd", vat_errs))
     return out
 
 
@@ -671,38 +670,24 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     out.append(PropertyResult("penalty_adds_begin_and_end_terms", 1e-12 - add_dev,
                               f"max deviation = {add_dev:.3e}"))
 
-    law_slack = math.inf
-    drift_slack = math.inf
-    details = []
+    cases = []
     for ki, (kind, gen) in enumerate(GENERATORS.items()):
-        ratios_mean = []
         for i in range(max(10, trials // 40)):
             model = _random_span_model(rng.split(43, i))
             # positional split keeps draws stable across processes
             g = rng.split(43, i, ki).generator()
-            t = 5
-            feats = g.standard_normal((t, model.n_features))
+            feats = g.standard_normal((5, model.n_features))
             eps = g.standard_normal(feats.shape)
             eps /= np.sqrt(np.sum(eps * eps))
             q = sp.span_quadratic_penalty(model, feats, gen, eps)
             if q < 1e-3:
                 continue
-            tr = sp.span_forward(model, feats)
+            probs = sp.span_forward(model, feats).probs
+            cases.append((kind, [float(np.sum(f_divergence(gen, sp.span_forward(model, feats + t * eps).probs, probs)))
+                                 for t in _DECADES], q))
+    out.append(_decade_row("span_second_order_law_decades", cases))
 
-            def divergence_at(tt):
-                trn = sp.span_forward(model, feats + tt * eps)
-                return float(np.sum(f_divergence(gen, trn.probs, tr.probs)))
-
-            drift, law, ratio = _decade_law(divergence_at, q)
-            drift_slack = _min_or_nan(drift_slack, drift)
-            law_slack = _min_or_nan(law_slack, law)
-            ratios_mean.append(ratio)
-        details.append(f"{kind}:{np.mean(ratios_mean):.2f}")
-    out.append(PropertyResult("span_second_order_law_decades", _min_or_nan(law_slack, drift_slack),
-                              "cubic-remainder ratios " + " ".join(details)))
-
-    loss_err = 0.0
-    pen_err = 0.0
+    loss_errs, pen_errs = [], []
     for i in range(max(25, trials // 40)):
         model = _random_span_model(rng.split(44, i), hidden=(4,), d=3)
         g = rng.split(44, i, 1).generator()
@@ -712,7 +697,7 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
         _, grads = sp.span_loss(model, feats, start, end)
         fd = _fd_param_grads(
             lambda mm: mlp.cross_entropy(sp.span_forward(mm, feats).scores, [start, end]).sum(axis=-1), model)
-        loss_err = _max_or_nan(loss_err, _grad_rel_err(grads, fd))
+        loss_errs.append(_grad_rel_err(grads, fd))
 
         spec = RegularizerSpec("vat", "KL",
                                perturbation=PerturbationConfig(radius=0.3, ascent_steps=1))
@@ -725,11 +710,9 @@ def spans_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
             q = sp.span_forward(mm, feats + delta).probs
             return np.sum(f_divergence(GENERATORS["KL"], q, np.broadcast_to(p_clean, q.shape)), axis=-1)
 
-        pen_err = _max_or_nan(pen_err, _grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
-    out.append(PropertyResult("span_loss_grads_match_fd", _FD_GATE - loss_err,
-                              f"max relative deviation = {loss_err:.3e}"))
-    out.append(PropertyResult("span_penalty_grads_match_fd", _FD_GATE - pen_err,
-                              f"max relative deviation = {pen_err:.3e}"))
+        pen_errs.append(_grad_rel_err(res.param_grads, _fd_param_grads(frozen, model)))
+    out.append(_fd_row("span_loss_grads_match_fd", loss_errs))
+    out.append(_fd_row("span_penalty_grads_match_fd", pen_errs))
 
     model = _random_span_model(rng.split(45))
     g = rng.split(45, 1).generator()

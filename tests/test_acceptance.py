@@ -116,17 +116,11 @@ def test_criterion_03_second_order_decade_law():
         for i in range(100):
             model, x, eps, q = props._second_order_instance(rng, i)
             p = mlp.posterior(model, x)
-            ratios = []
-            for t in (1e-2, 1e-3, 1e-4):
-                d = f_divergence(gen, mlp.posterior(model, x + t * eps), p)
-                ratios.append(abs(d - t * t * q[kind]) / t ** 3)
-            # the remainder ratio may shrink as the cubic term vanishes, so
-            # boundedness is one-sided with a float floor at the small decade
-            floor = 1e-3 * max(1.0, q[kind])
-            drift_slack = min(drift_slack, 5.0 * max(ratios[0], ratios[1]) + floor - ratios[2])
-            t = 1e-4
-            d = f_divergence(gen, mlp.posterior(model, x + t * eps), p)
-            law_slack = min(law_slack, 1e-3 * max(q[kind], 1e-9) - abs(d / t / t - q[kind]))
+            values = [f_divergence(gen, mlp.posterior(model, x + t * eps), p) for t in props._DECADES]
+            # boundedness is one-sided: the remainder ratio may shrink as the cubic term vanishes
+            drift, law, _ = props._decade_law(values, q[kind])
+            drift_slack = props._min_or_nan(drift_slack, drift)
+            law_slack = props._min_or_nan(law_slack, law)
     elapsed = time.time() - t0
     ok = law_slack >= 0 and drift_slack >= 0 and elapsed < 120.0
     _verdict(3, "second-order decade law", ok,
@@ -452,20 +446,14 @@ def test_criterion_10_span_joint_and_decade_law():
             if q < 1e-3:
                 continue
             done += 1
-            tr = sp.span_forward(model, feats)
-            ratios = []
-            for tt in (1e-2, 1e-3, 1e-4):
+            probs = sp.span_forward(model, feats).probs
+            values = []
+            for tt in props._DECADES:
                 trn = sp.span_forward(model, feats + tt * eps)
-                d = (f_divergence(gen, trn.probs[0], tr.probs[0])
-                     + f_divergence(gen, trn.probs[1], tr.probs[1]))
-                ratios.append(abs(d - tt * tt * q) / tt ** 3)
-            floor = 1e-3 * max(1.0, q)
-            drift_slack = min(drift_slack, 5.0 * max(ratios[0], ratios[1]) + floor - ratios[2])
-            tt = 1e-4
-            trn = sp.span_forward(model, feats + tt * eps)
-            d = (f_divergence(gen, trn.probs[0], tr.probs[0])
-                 + f_divergence(gen, trn.probs[1], tr.probs[1]))
-            law_slack = min(law_slack, 1e-3 * max(q, 1e-9) - abs(d / tt / tt - q))
+                values.append(f_divergence(gen, trn.probs[0], probs[0]) + f_divergence(gen, trn.probs[1], probs[1]))
+            drift, law, _ = props._decade_law(values, q)
+            drift_slack = props._min_or_nan(drift_slack, drift)
+            law_slack = props._min_or_nan(law_slack, law)
     elapsed = time.time() - t0
     ok = joint_dev <= 1e-12 and law_slack >= 0 and drift_slack >= 0 and elapsed < 60.0
     _verdict(10, "span joint table and decade law", ok,
