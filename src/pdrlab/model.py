@@ -64,6 +64,13 @@ def _check_one_model(model: MlpModel, caller: str) -> None:
         raise ValueError(f"{caller} takes one model, not a parameter stack of {len(model.params)}")
 
 
+def _check_int(value, name: str, low: int, high) -> int:
+    """value as an int once it is an integer in [low, high); a bool, float or str is refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
+
+
 @functools.lru_cache(maxsize=None)
 def _layout(layer_dims: tuple[int, ...]):
     """(W start, b start, b stop, W shape) of each layer in the flat vector."""
@@ -235,7 +242,7 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     """
     labels = np.asarray(labels)
     b, m = tr.logits.shape
-    if labels.shape != (b,) or not ((0 <= labels) & (labels < m)).all():
+    if labels.dtype.kind not in "iu" or labels.shape != (b,) or not ((0 <= labels) & (labels < m)).all():
         raise ValueError(f"labels must be {b} class indices in [0, {m}), got {labels!r}")
     losses = cross_entropy(tr.logits, labels)
     g = tr.posteriors.copy()

@@ -198,22 +198,30 @@ def _quadratic_form(gen: Generator, p, dz) -> float:
     return float(0.5 * gen.curvature_at_one * np.sum(np.sum(jdz * jdz / np.maximum(p, PROB_FLOOR), axis=-1)))
 
 
+def _checked_eps(eps, *shapes) -> np.ndarray:
+    """eps as float64 once its shape is one of `shapes` and every entry is finite."""
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape not in shapes or not np.isfinite(eps).all():
+        raise ValueError(f"eps must hold finite entries in shape {' or '.join(map(str, shapes))}, got {eps.shape}")
+    return eps
+
+
 def quadratic_penalty(model, x, gen: Generator, eps) -> float:
     """Small-noise quadratic form: (g''(1)/2) eps^T J^T diag(1/f) J eps.
 
-    J and f are the posterior Jacobian and posterior at the clean input;
-    f is floored before inverting. This is the second-order Taylor value of
-    the divergence penalty at perturbation eps. J eps comes from one
-    forward-mode tangent pass.
+    J and f are the posterior Jacobian and posterior at the clean input x,
+    eps has x's shape, and f is floored before inverting. This is the
+    second-order Taylor value of the divergence penalty at perturbation eps.
+    J eps comes from one forward-mode tangent pass.
     """
     mlp._check_one_model(model, "quadratic_penalty")
     tr = mlp.forward(model, x)
-    dz = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64)[None, :])
+    dz = mlp._tangent(model, tr, _checked_eps(eps, tr.inputs.shape[1:])[None, :])
     return _quadratic_form(gen, tr.posteriors, dz)
 
 
 def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource) -> float:
-    """Minimum slack, over `trials` draws eps with ||eps||_2 = c = radius, in
+    """Minimum slack, over `trials` >= 1 draws eps with ||eps||_2 = c = radius, in
     every link of the distance and Jacobian-norm chains, with p and q the clean
     and noisy posteriors and J the input Jacobian at x (NaN if any link is NaN):
       2 KL(p, q) - ||q - p||_2^2, 2 KL - ||q - p||_1^2, ||q - p||_1^2 - ||q - p||_2^2,
@@ -222,6 +230,7 @@ def l2_vs_kl_bound_check(model, x, radius: float, trials: int, rng: RandomSource
     one call and held as a (trials, 1, n) stack, so each rounds as it would alone.
     """
     mlp._check_one_model(model, "l2_vs_kl_bound_check")
+    trials = mlp._check_int(trials, "trials", 1, math.inf)
     x = np.asarray(x, dtype=np.float64)
     tr = mlp.forward(model, x)
     p = tr.posteriors[0]

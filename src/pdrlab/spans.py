@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model as mlp
 from .divergences import _divergence_rows, generator
-from .regularizers import PenaltyResult, RegularizerSpec, _quadratic_form, ascent_search, random_search
+from .regularizers import PenaltyResult, RegularizerSpec, _checked_eps, _quadratic_form, ascent_search, random_search
 from .tensor import RandomRows, RandomSource, as_mat, softmax
 
 
@@ -117,9 +117,7 @@ def span_loss(model: SpanModel, features, start: int, end: int):
     mlp._check_one_model(model, "span_loss")
     tr = span_forward(model, features)
     t = tr.inputs.shape[0]
-    start, end = int(start), int(end)
-    if not (0 <= start < t and 0 <= end < t):
-        raise ValueError(f"span ({start}, {end}) out of range for {t} positions")
+    start, end = mlp._check_int(start, "span start", 0, t), mlp._check_int(end, "span end", 0, t)
     loss = mlp.cross_entropy(tr.scores, [start, end]).sum()
     g = tr.probs.copy()
     g[(0, 1), (start, end)] -= 1.0
@@ -167,12 +165,13 @@ def span_quadratic_penalty(model: SpanModel, features, gen, eps) -> float:
     """Second-order value of the summed penalty at perturbation eps.
 
     (g''(1)/2) [eps^T J_b^T diag(1/P_b) J_b eps + (end term)], with J_b, J_e
-    the Jacobians of the begin and end distributions in the flattened
-    features. J eps comes from one forward-mode tangent pass.
+    the begin and end Jacobians in the flattened features, and eps shaped as
+    the features or flat. J eps comes from one forward-mode tangent pass.
     """
     mlp._check_one_model(model, "span_quadratic_penalty")
     tr = span_forward(model, features)
-    d_enc = mlp._tangent(model, tr, np.asarray(eps, dtype=np.float64).reshape(tr.inputs.shape))
+    eps = _checked_eps(eps, tr.inputs.shape, (tr.inputs.size,))
+    d_enc = mlp._tangent(model, tr, eps.reshape(tr.inputs.shape))
     return _quadratic_form(gen, tr.probs, _scores(d_enc, model.scorers))
 
 

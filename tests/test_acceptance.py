@@ -10,6 +10,7 @@ well inside seed noise. Everything here is deterministic in the seeds
 written below.
 """
 
+import dataclasses
 import functools
 import json
 import math
@@ -18,6 +19,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from pdrlab import model as mlp
 from pdrlab import properties as props
@@ -70,15 +72,15 @@ def test_criterion_01_divergence_identities():
         p_hat, p = props._simplex_pairs(rng.split(m), 3334, m, 2.0)
         n_pairs += p.shape[0]
         direct = np.sum(p_hat * np.log(p_hat / p), axis=-1)
-        kl_dev = max(kl_dev, float(np.max(np.abs(f_divergence(klg, p_hat, p) - direct))))
+        kl_dev = props._max_or_nan(kl_dev, float(np.max(np.abs(f_divergence(klg, p_hat, p) - direct))))
         for gen in gens:
             vals = f_divergence(gen, p_hat, p)
-            min_div = min(min_div, float(np.min(vals)))
-            max_self = max(max_self, float(np.max(np.abs(f_divergence(gen, p, p)))))
+            min_div = props._min_or_nan(min_div, float(np.min(vals)))
+            max_self = props._max_or_nan(max_self, float(np.max(np.abs(f_divergence(gen, p, p)))))
             if gen.kind in ("JSD", "SHL"):
-                sym_dev = max(sym_dev, float(np.max(np.abs(vals - f_divergence(gen, p, p_hat)))))
+                sym_dev = props._max_or_nan(sym_dev, float(np.max(np.abs(vals - f_divergence(gen, p, p_hat)))))
             if gen.kind == "JSD":
-                jsd_excess = max(jsd_excess, float(np.max(vals)) - math.log(2.0))
+                jsd_excess = props._max_or_nan(jsd_excess, float(np.max(vals)) - math.log(2.0))
     elapsed = time.time() - t0
     ok = (min_div >= -1e-12 and max_self == 0.0 and kl_dev <= 1e-12
           and jsd_excess <= 1e-12 and sym_dev <= 1e-12 and elapsed < 10.0)
@@ -143,11 +145,11 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         label = int(g.integers(model.n_classes))
         _, grads, _ = mlp.backward_ce_batch(model, mlp.forward(model, x), [label])
         fd = props._fd_param_grads(lambda mm: props._ce_at(mm, x, label), model)
-        worst_ce = max(worst_ce, props._grad_rel_err(grads, fd))
+        worst_ce = props._max_or_nan(worst_ce, props._grad_rel_err(grads, fd))
 
         res = jr_penalty(model, x)
         fd = props._fd_param_grads(lambda mm: props._jacobian_sq_norm_at(mm, x), model)
-        worst_jr = max(worst_jr, props._grad_rel_err(res.param_grads, fd))
+        worst_jr = props._max_or_nan(worst_jr, props._grad_rel_err(res.param_grads, fd))
     errs["ce"] = worst_ce
     errs["jr"] = worst_jr
 
@@ -169,14 +171,14 @@ def test_criterion_04_gradient_paths_match_finite_differences():
             res = rpt_penalty(model, x, spec, src)
             eps = gaussian_vec(src.split(0), x.size, 0.2)
             fd = props._fd_param_grads(lambda mm: frozen(mm, eps), model)
-            worst_rpt = max(worst_rpt, props._grad_rel_err(res.param_grads, fd))
+            worst_rpt = props._max_or_nan(worst_rpt, props._grad_rel_err(res.param_grads, fd))
 
             vspec = RegularizerSpec("vat", kind,
                                     perturbation=PerturbationConfig(radius=0.2, ascent_steps=2))
             vres = vat_penalty(model, x, vspec, src)
             fd = props._fd_param_grads(
                 lambda mm: frozen(mm, vres.adversarial_direction), model)
-            worst_vat = max(worst_vat, props._grad_rel_err(vres.param_grads, fd))
+            worst_vat = props._max_or_nan(worst_vat, props._grad_rel_err(vres.param_grads, fd))
     errs["rpt"] = worst_rpt
     errs["vat"] = worst_vat
 
@@ -190,7 +192,7 @@ def test_criterion_04_gradient_paths_match_finite_differences():
         _, grads = sp.span_loss(model, feats, start, end)
         fd = props._fd_param_grads(
             lambda mm: mlp.cross_entropy(sp.span_forward(mm, feats).scores, [start, end]).sum(axis=-1), model)
-        worst_sl = max(worst_sl, props._grad_rel_err(grads, fd))
+        worst_sl = props._max_or_nan(worst_sl, props._grad_rel_err(grads, fd))
 
         src = rng.split(3, i, 2)
         p_b, p_e = sp.span_distributions(model, feats)
@@ -210,7 +212,7 @@ def test_criterion_04_gradient_paths_match_finite_differences():
                 return np.sum(p_b * gen.g(rb), axis=-1) + np.sum(p_e * gen.g(re), axis=-1)
 
             fd = props._fd_param_grads(frozen_span, model)
-            worst_sp = max(worst_sp, props._grad_rel_err(res.param_grads, fd))
+            worst_sp = props._max_or_nan(worst_sp, props._grad_rel_err(res.param_grads, fd))
     errs["span_loss"] = worst_sl
     errs["span_penalty"] = worst_sp
 
@@ -428,7 +430,7 @@ def test_criterion_10_span_joint_and_decade_law():
         g = rng.split(1, i, 1).generator()
         t = int(g.integers(2, 9))
         feats = g.standard_normal((t, model.n_features))
-        joint_dev = max(joint_dev, abs(float(sp.joint_span_table(model, feats).sum()) - 1.0))
+        joint_dev = props._max_or_nan(joint_dev, abs(float(sp.joint_span_table(model, feats).sum()) - 1.0))
 
     law_slack = math.inf
     drift_slack = math.inf
@@ -459,3 +461,33 @@ def test_criterion_10_span_joint_and_decade_law():
     _verdict(10, "span joint table and decade law", ok,
              f"200 joints, max |sum - 1| {joint_dev:.1e}; summed-curvature law slack "
              f"{law_slack:.3e}, boundedness slack {drift_slack:.3e}, {elapsed:.1f}s")
+
+
+# ------------------------------------------------------------- NaN controls
+
+def _nan_kl_values(monkeypatch):
+    nan_g = dataclasses.replace(GENERATORS["KL"], g=lambda t: np.full(np.shape(t), np.nan))
+    monkeypatch.setitem(GENERATORS, "KL", nan_g)
+
+
+def _nan_ce_grads(monkeypatch):
+    clean = mlp.backward_ce_batch
+
+    def planted(*args, **kwargs):
+        losses, grads, xg = clean(*args, **kwargs)
+        return losses, np.full_like(grads, np.nan), xg
+
+    monkeypatch.setattr(mlp, "backward_ce_batch", planted)
+
+
+@pytest.mark.parametrize("criterion, plant", [
+    (test_criterion_01_divergence_identities, _nan_kl_values),
+    (test_criterion_03_second_order_decade_law, _nan_kl_values),
+    (test_criterion_04_gradient_paths_match_finite_differences, _nan_ce_grads),
+    (test_criterion_10_span_joint_and_decade_law, _nan_kl_values),
+], ids=["01", "03", "04", "10"])
+def test_planted_nan_fails_the_criterion(monkeypatch, criterion, plant):
+    # a NaN measurement must fail its verdict, not drop out of a worst-case fold
+    plant(monkeypatch)
+    with pytest.raises(AssertionError, match="FAIL"):
+        criterion()

@@ -44,6 +44,24 @@ def test_bench_names_resolve(module, cls_name, attr):
     assert callable(getattr(owner, attr, None))
 
 
+def test_bench_tracer_sees_what_run_suite_calls(monkeypatch):
+    # the tracer replaces module attributes, so run_suite must reach each traced
+    # properties name through the module, not through a table built at import
+    properties = importlib.import_module("pdrlab.properties")
+    calls = {}
+    for module, _, attr in traced_names():
+        if module == "properties":
+            clean, calls[attr] = getattr(properties, attr), 0
+
+            def counted(*args, _attr=attr, _clean=clean, **kwargs):
+                calls[_attr] += 1
+                return _clean(*args, **kwargs)
+
+            monkeypatch.setattr(properties, attr, counted)
+    properties.run_suite("all", trials=1, seed=1)
+    assert calls and all(n > 0 for n in calls.values()), calls
+
+
 @pytest.mark.parametrize("name", training_workloads())
 def test_bench_training_configs_build(name):
     workloads = load_workloads()

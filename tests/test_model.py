@@ -244,8 +244,10 @@ def test_ce_label_out_of_range():
     m = small_model()
     one_row = mlp.forward(m, np.zeros(2))
     two_rows = mlp.forward_batch(m, np.zeros((2, 2)))
-    # label m, label -1 (would index the last class), one label for two rows (would broadcast)
-    for tr, labels in ((one_row, [m.n_classes]), (one_row, [-1]), (two_rows, [0])):
+    # label m, label -1 (would index the last class), one label for two rows (would broadcast),
+    # and a float and a bool label, which numpy would refuse as an index
+    for tr, labels in ((one_row, [m.n_classes]), (one_row, [-1]), (two_rows, [0]), (one_row, [1.7]),
+                       (one_row, [True])):
         with pytest.raises(ValueError, match="labels must be"):
             mlp.backward_ce_batch(m, tr, labels)
 

@@ -92,30 +92,65 @@ def test_nan_slack_is_not_passed():
     assert not PropertyResult("negative_row", -1e-300).passed
 
 
-def test_nan_generator_values_are_caught(monkeypatch):
-    # KL wherever t <= 3, NaN above: the NaNs must not vanish from the folds
+def _nan_above_three(monkeypatch):
+    """KL wherever t <= 3, NaN above."""
     def nan_above(f):
         return lambda t: np.where(np.asarray(t) > 3.0, np.nan, f(t))
 
     gen = replace(KL, g=nan_above(KL.g), g_prime=nan_above(KL.g_prime),
                   g_double_prime=nan_above(KL.g_double_prime))
     monkeypatch.setitem(GENERATORS, "KL", gen)
-    failed = _failed(run_suite("divergence", trials=50, seed=1))
-    assert {"generator_convexity", "generator_derivatives_match_fd", "divergence_nonnegative",
-            "divergence_grad_matches_fd"} <= failed
 
 
-def test_nan_ce_gradient_is_caught(monkeypatch):
-    clean = mlp.backward_ce_batch
+def _nan_first_kl_value(monkeypatch):
+    """NaN in the first KL value a suite computes: in the jacobian and spans
+    suites that is one value of a decade row, at t = 1e-2."""
+    clean, seen = properties.f_divergence, []
 
-    def one_nan_entry(*args, **kwargs):
-        losses, grads, xg = clean(*args, **kwargs)
+    def planted(gen, p_hat, p):
+        value = clean(gen, p_hat, p)
+        if gen.kind != "KL" or seen:
+            return value
+        seen.append(gen)
+        return value * np.nan
+
+    monkeypatch.setattr(properties, "f_divergence", planted)
+
+
+@pytest.mark.parametrize("plant, suite, rows", [
+    (_nan_above_three, "divergence", {"generator_convexity", "generator_derivatives_match_fd",
+                                      "divergence_nonnegative", "divergence_grad_matches_fd"}),
+    (_nan_first_kl_value, "jacobian", {"second_order_law_decades"}),
+    (_nan_first_kl_value, "spans", {"span_second_order_law_decades"}),
+], ids=["above_three-divergence", "first_kl_value-jacobian", "first_kl_value-spans"])
+def test_nan_generator_values_are_caught(monkeypatch, plant, suite, rows):
+    # the NaNs must not vanish from the folds
+    plant(monkeypatch)
+    assert rows <= _failed(run_suite(suite, trials=50, seed=1))
+
+
+@pytest.mark.parametrize("owner, fn, suite, row", [
+    (mlp, "backward_ce_batch", "jacobian", "ce_grads_match_fd"),
+    (properties, "rpt_penalty", "vat", "rpt_grads_match_fd"),
+    (spans, "span_penalty", "spans", "span_penalty_grads_match_fd"),
+], ids=["backward_ce_batch", "rpt_penalty", "span_penalty"])
+def test_nan_ce_gradient_is_caught(monkeypatch, owner, fn, suite, row):
+    # one NaN parameter-gradient entry fails the FD row that checks it, and only that row
+    clean = getattr(owner, fn)
+
+    def one_nan_entry(grads):
         grads = grads.copy()
         grads[0] = np.nan
-        return losses, grads, xg
+        return grads
 
-    monkeypatch.setattr(mlp, "backward_ce_batch", one_nan_entry)
-    assert "ce_grads_match_fd" in _failed(run_suite("jacobian", trials=40, seed=1))
+    def planted(*args, **kwargs):
+        out = clean(*args, **kwargs)
+        if isinstance(out, tuple):  # backward_ce_batch: (losses, grads, input grads)
+            return out[0], one_nan_entry(out[1]), out[2]
+        return replace(out, param_grads=one_nan_entry(out.param_grads))
+
+    monkeypatch.setattr(owner, fn, planted)
+    assert _failed(run_suite(suite, trials=40, seed=1)) == {row}
 
 
 @pytest.mark.parametrize("fn, k, row", [  # k: where the flat parameter grads sit in fn's result
@@ -298,7 +333,7 @@ def _bound_check_loop(model, x, radius, trials, rng):
     return float(np.min(gaps, initial=radius * radius * (fro * fro - sp * sp)))
 
 
-@pytest.mark.parametrize("trials", [0, 1, 5, 50])
+@pytest.mark.parametrize("trials", [1, 5, 50])
 def test_bound_check_matches_the_per_draw_loop(trials):
     rng = tensor.RandomSource(11)
     for i in range(200):

@@ -359,6 +359,14 @@ def test_one_example_functions_reject_a_parameter_stack(fn, args):
         fn(stack, np.array([0.2, 0.4, -0.1]), *args)
 
 
+@pytest.mark.parametrize("eps", [np.ones(2), np.ones(4), np.ones((1, 3)), np.array([0.3, np.nan, -0.2]),
+                                 np.array([0.3, np.inf, -0.2])], ids=["short", "long", "row", "nan", "inf"])
+def test_quadratic_penalty_rejects_bad_eps(eps):
+    m = small_model(61)
+    with pytest.raises(ValueError, match=r"^eps must hold finite entries in shape \(3,\)"):
+        quadratic_penalty(m, np.array([0.5, -0.5, 0.1]), generator("SHL"), eps)
+
+
 def test_quadratic_penalty_closed_form():
     m = small_model(61)
     x = np.array([0.5, -0.5, 0.1])
@@ -401,3 +409,10 @@ def test_bound_check_gaps_are_nonnegative():
     x = np.array([0.2, 0.4, -0.1])
     # one minimum over every link of both chains; a NaN in any link fails the comparison
     assert l2_vs_kl_bound_check(m, x, radius=0.1, trials=50, rng=RandomSource(28)) >= -1e-10
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
+def test_bound_check_rejects_a_bad_trial_count(trials):
+    # no draw would leave the Frobenius-spectral link alone; 2.5 draws are not a count
+    with pytest.raises(ValueError, match=r"^trials must be an integer in \[1, inf\)"):
+        l2_vs_kl_bound_check(small_model(71), np.array([0.2, 0.4, -0.1]), 0.1, trials, RandomSource(28))

@@ -159,10 +159,10 @@ def test_span_loss_is_negative_log_probability():
 def test_span_loss_rejects_out_of_range():
     m = small_span_model()
     f = random_features(13, t=4)
-    with pytest.raises(ValueError):
-        span_loss(m, f, 4, 0)
-    with pytest.raises(ValueError):
-        span_loss(m, f, 0, -1)
+    # out of range, then indices that int() would truncate or convert to a position
+    for start, end in ((4, 0), (0, -1), (1.7, 2), ("1", 2), (True, 2), (0, 2.5)):
+        with pytest.raises(ValueError, match="span (start|end) must be an integer"):
+            span_loss(m, f, start, end)
 
 
 def test_span_loss_grads_match_fd():
@@ -330,6 +330,15 @@ def test_quadratic_penalty_matches_divergence_at_small_radius():
     t = 1e-4
     d = frozen_pair_divergence(m, f, t * eps, pb0, pe0, "KL")
     assert d / t**2 == pytest.approx(q, rel=1e-3, abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", [np.ones(5), np.ones((3, 4)), np.r_[np.nan, np.ones(11)].reshape(4, 3),
+                                 np.r_[np.inf, np.ones(11)]], ids=["wrong_size", "transposed", "nan", "inf"])
+def test_span_quadratic_penalty_rejects_bad_eps(eps):
+    # (4, 3) features take a (4, 3) or flat (12,) eps; a (3, 4) one was reshaped and scored
+    m = small_span_model(38)
+    with pytest.raises(ValueError, match=r"^eps must hold finite entries in shape \(4, 3\) or \(12,\)"):
+        span_quadratic_penalty(m, random_features(39, t=4), GENERATORS["KL"], eps)
 
 
 def vjp_quadratic_penalty(model, features, gen, eps):
