@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -261,6 +263,44 @@ def test_single_model_entry_points_reject_a_parameter_stack(tmp_path, call):
     with pytest.raises(ValueError, match="takes one model, not a parameter stack of 3"):
         call(stack, ds, path)
     assert not path.exists()
+
+
+# Trained bytes pinned across commits: a change to the draw streams, the batch
+# order or the arithmetic of a step moves these digests. The data set has
+# unlabeled rows, 45 rows make a partial last batch of 16, and an eval set is
+# scored after every epoch. Bytes are pinned for one platform and numpy build
+# (see the tensor module docstring).
+_PINNED_RUNS = {
+    "none": (RegularizerSpec("none"),
+             "8686396b211cea06a5b64bc8f860a421ec5034361c4efc7750b8264ec4daacc8",
+             "4d507992a5ff1231115079380305e0305bde5d233067ecfd27399562208c0b52"),
+    "jr": (RegularizerSpec("jr", alpha=0.5),
+           "a970c877a6e8bf6d7d3d605b05c2491b418b59ddc25bea5c5da9fba24c3ef5ad",
+           "3b09b12983262bd14429d90eecd6776dc6b1b1d3976a4249e31a9d3e286cb903"),
+    "rpt_kl_3_samples": (
+        RegularizerSpec("rpt", "KL", alpha=1.0, perturbation=PerturbationConfig(radius=0.3, samples_per_example=3)),
+        "0952cbad188ea291bf820be3289f5c65781015144b484aca713984b8127e5e59",
+        "50f99228c0f7272acd1944b99bd3f8d23455ca3b117a618f01686e7bef714311"),
+    "vat_jsd": (
+        RegularizerSpec("vat", "JSD", alpha=2.0, perturbation=PerturbationConfig(radius=0.2, step_size=0.02)),
+        "929fdcada09ff738ea5d0fe83b4db8b14d5b96ccfe0deebbc80d1d4ac93f1e32",
+        "76f8ffcdd70004ad03d42a235506ffef0f83cb8f08a06e6fac15a211c80979c1"),
+    "vat_linf_3_steps": (
+        RegularizerSpec("vat", "KL", alpha=1.0,
+                        perturbation=PerturbationConfig(radius=0.1, norm_kind="linf", ascent_steps=3, step_size=0.05)),
+        "46807cc1b61aaa4ace38490c278b08b8041db2fac5d40ecf17b0f7e3c89710e5",
+        "c847b9776f9be3ef458265c4b1989f480465cee3907f9e90886785c769505105"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_RUNS))
+def test_trained_bytes_are_pinned(name):
+    spec, params_sha, epochs_sha = _PINNED_RUNS[name]
+    ds = withhold_labels(make_two_moons(45, 0.2, seed=3), 0.3, seed=4)
+    cfg = TrainConfig(epochs=3, batch_size=16, seed=5, learning_rate=0.05, regularizer=spec)
+    run = train(init_model_for(ds, (6,), seed=5), ds, cfg, eval_sets={"holdout": make_two_moons(20, 0.2, seed=9)})
+    assert hashlib.sha256(run.model.params.tobytes()).hexdigest() == params_sha
+    assert hashlib.sha256(json.dumps(run.epochs).encode()).hexdigest() == epochs_sha
 
 
 # ---------------------------------------------------------------- metrics doc
