@@ -49,8 +49,8 @@ class PerturbationConfig:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
         if not all(0.0 <= v < math.inf for v in (self.radius, self.step_size, self.init_std)):
             raise ValueError("perturbation sizes must be finite and nonnegative")
-        if self.ascent_steps < 0 or self.samples_per_example < 1:
-            raise ValueError("ascent_steps must be >= 0 and samples_per_example >= 1")
+        mlp._check_int(self.ascent_steps, "ascent_steps", 0, math.inf)
+        mlp._check_int(self.samples_per_example, "samples_per_example", 1, math.inf)
 
 
 @dataclass(frozen=True)

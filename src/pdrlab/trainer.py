@@ -35,8 +35,8 @@ class TrainConfig:
     regularizer: RegularizerSpec = field(default_factory=RegularizerSpec)
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        mlp._check_int(self.epochs, "epochs", 1, math.inf)
+        mlp._check_int(self.batch_size, "batch_size", 1, math.inf)
         if not 0.0 < self.learning_rate < math.inf:  # also catches NaN
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 

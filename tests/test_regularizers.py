@@ -58,6 +58,13 @@ def test_perturbation_config_validation():
                 PerturbationConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "1"])
+@pytest.mark.parametrize("field", ["samples_per_example", "ascent_steps"])
+def test_perturbation_counts_must_be_integers(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer in"):
+        PerturbationConfig(**{field: bad})
+
+
 def test_regularizer_spec_validation():
     RegularizerSpec(kind="vat", generator_kind="jsd")
     with pytest.raises(ValueError):

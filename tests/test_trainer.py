@@ -49,6 +49,13 @@ def test_config_validation():
             TrainConfig(epochs=1, batch_size=8, seed=1, learning_rate=bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "1"])
+@pytest.mark.parametrize("field", ["epochs", "batch_size"])
+def test_train_counts_must_be_integers(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer in"):
+        TrainConfig(**{field: bad})
+
+
 def test_init_model_for_sizes_from_dataset():
     ds = tiny_moons()
     m = init_model_for(ds, (8, 4), seed=2)
