@@ -11,10 +11,12 @@ perturbation:
           normalized gradient ascent inside a norm ball.
 
 rpt and vat share one perturbation search for every head: `random_search`
-averages Gaussian draws and `ascent_search` climbs and projects. A head
-supplies only `divergence_grads(delta, want_param_grads)`; the span head's
-lives in `spans`. Every penalty holds the clean posterior constant for
-gradient purposes (stop-gradient), as VAT does.
+averages over its draws and `ascent_search` climbs from its draw and
+projects. The draws come from `perturbation_draws`, one (seed, stream) row
+per example, so the trainer draws a whole epoch at once and hands each batch
+its slice. A head supplies only `divergence_grads(delta, want_param_grads)`;
+the span head's lives in `spans`. Every penalty holds the clean posterior
+constant for gradient purposes (stop-gradient), as VAT does.
 """
 
 from __future__ import annotations
@@ -97,31 +99,46 @@ def _ascent_step(delta, asc, cfg: PerturbationConfig):
     return delta + step * asc
 
 
-def random_search(divergence_grads, rows: RandomRows, n: int, cfg: PerturbationConfig):
-    """(values (B,), parameter grads), each averaged over samples_per_example draws.
+def perturbation_draws(kind: str, rows: RandomRows, n: int, cfg: PerturbationConfig) -> np.ndarray:
+    """(D, B, n) draws for the search of `kind`, row i of each from row i of rows.
+
+    rpt: D = samples_per_example, draw s is gaussian_rows(rows.split(s), n,
+    radius). vat: D = 1, the ascent's start gaussian_rows(rows.split(0), n,
+    init_std). A row's draws depend on its own (seed, stream) pair alone, so
+    draws for a long row order, sliced, equal draws made slice by slice.
+    """
+    if kind == "rpt":
+        return np.stack([gaussian_rows(rows.split(s), n, cfg.radius) for s in range(cfg.samples_per_example)])
+    if kind == "vat":
+        return gaussian_rows(rows.split(0), n, cfg.init_std)[None]
+    raise ValueError(f"no perturbation draws for kind {kind!r}")
+
+
+def random_search(divergence_grads, draws: np.ndarray):
+    """(values (B,), parameter grads), each averaged over the D draws of a
+    (D, B, n) array.
 
     `divergence_grads(delta, want_param_grads=True)` returns (values (B,),
     flat parameter grads summed over rows or None, input grads (B, n)) at
-    perturbations delta (B, n). Draw s for row i is row i of
-    gaussian_rows(rows.split(s), n, cfg.radius), so no row depends on another.
+    perturbations delta (B, n).
     """
-    scale = 1.0 / cfg.samples_per_example
+    scale = 1.0 / len(draws)
     values, acc = 0.0, 0.0
-    for s in range(cfg.samples_per_example):
-        vals, grads, _ = divergence_grads(gaussian_rows(rows.split(s), n, cfg.radius))
+    for delta in draws:
+        vals, grads, _ = divergence_grads(delta)
         values += vals
         acc += scale * grads
-    return values / cfg.samples_per_example, acc
+    return values / len(draws), acc
 
 
-def ascent_search(divergence_grads, rows: RandomRows, n: int, cfg: PerturbationConfig):
+def ascent_search(divergence_grads, draws: np.ndarray, cfg: PerturbationConfig):
     """(values (B,), parameter grads, perturbations (B, n)) at the adversarial
-    perturbation. Each row starts from a draw of std init_std (row i of
-    rows.split(0)), climbs its own divergence for ascent_steps normalized
-    steps on input gradients alone, and is projected into the norm ball; with
-    ascent_steps=0 this is a single projected random draw.
+    perturbation. Each row starts from its row of draws[0], climbs its own
+    divergence for ascent_steps normalized steps on input gradients alone,
+    and is projected into the norm ball; with ascent_steps=0 this is a single
+    projected random draw.
     """
-    delta = gaussian_rows(rows.split(0), n, cfg.init_std)
+    delta = draws[0]
     for _ in range(cfg.ascent_steps):
         _, _, asc = divergence_grads(delta, want_param_grads=False)
         delta = _ascent_step(delta, asc, cfg)
@@ -148,45 +165,51 @@ def _check_kind(spec: RegularizerSpec, kind: str) -> None:
         raise ValueError(f"a {kind} penalty needs a spec of kind {kind!r}, got {spec.kind!r}")
 
 
-def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
-    """rpt for a batch, one RandomRows row per batch row: (values (B,), flat parameter grads)."""
+def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray):
+    """rpt for a batch of B rows and its (D, B, n) `perturbation_draws`:
+    (values (B,), flat parameter grads)."""
     _check_kind(spec, "rpt")
     dg = _divergence_grads(model, tr, generator(spec.generator_kind))
-    return random_search(dg, rows, tr.inputs.shape[1], spec.perturbation)
+    return random_search(dg, draws)
 
 
-def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, rows: RandomRows):
-    """vat for a batch, one RandomRows row per batch row: (values, grads, perturbations (B, n))."""
+def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray):
+    """vat for a batch of B rows and its (1, B, n) `perturbation_draws`:
+    (values, grads, perturbations (B, n))."""
     _check_kind(spec, "vat")
     dg = _divergence_grads(model, tr, generator(spec.generator_kind))
-    return ascent_search(dg, rows, tr.inputs.shape[1], spec.perturbation)
+    return ascent_search(dg, draws, spec.perturbation)
 
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence under a Gaussian draw for one example."""
     mlp._check_one_model(model, "rpt_penalty")
-    values, grads = rpt_penalty_batch(model, mlp.forward(model, x), spec, RandomRows.of([rng]))
+    tr = mlp.forward(model, x)
+    draws = perturbation_draws("rpt", RandomRows.of([rng]), tr.inputs.shape[1], spec.perturbation)
+    values, grads = rpt_penalty_batch(model, tr, spec, draws)
     return PenaltyResult(float(values[0]), grads)
 
 
 def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence at the adversarial perturbation for one example."""
     mlp._check_one_model(model, "vat_penalty")
-    values, grads, delta = vat_penalty_batch(model, mlp.forward(model, x), spec, RandomRows.of([rng]))
+    tr = mlp.forward(model, x)
+    draws = perturbation_draws("vat", RandomRows.of([rng]), tr.inputs.shape[1], spec.perturbation)
+    values, grads, delta = vat_penalty_batch(model, tr, spec, draws)
     return PenaltyResult(float(values[0]), grads, delta[0])
 
 
-def penalty_batch(model, tr, spec: RegularizerSpec, rows: RandomRows):
+def penalty_batch(model, tr, spec: RegularizerSpec, draws: np.ndarray | None):
     """Dispatch on spec.kind; returns (values (B,), flat parameter grads).
 
-    rows may be None for jr, which draws nothing.
+    draws are the batch's `perturbation_draws`, None for jr, which draws nothing.
     """
     if spec.kind == "jr":
         return mlp.jacobian_sq_norm_grads_batch(model, tr)
     if spec.kind == "rpt":
-        return rpt_penalty_batch(model, tr, spec, rows)
+        return rpt_penalty_batch(model, tr, spec, draws)
     if spec.kind == "vat":
-        return vat_penalty_batch(model, tr, spec, rows)[:2]
+        return vat_penalty_batch(model, tr, spec, draws)[:2]
     raise ValueError(f"no penalty for kind {spec.kind!r}")
 
 

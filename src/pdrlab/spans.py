@@ -22,7 +22,8 @@ import numpy as np
 
 from . import model as mlp
 from .divergences import _divergence_rows, generator
-from .regularizers import PenaltyResult, RegularizerSpec, _checked_eps, _quadratic_form, ascent_search, random_search
+from .regularizers import (PenaltyResult, RegularizerSpec, _checked_eps, _quadratic_form, ascent_search,
+                           perturbation_draws, random_search)
 from .tensor import RandomRows, RandomSource, as_mat, softmax
 
 
@@ -153,11 +154,11 @@ def span_penalty(model: SpanModel, features, spec: RegularizerSpec, rng: RandomS
         raise ValueError(f"no span penalty for kind {spec.kind!r}")
     tr = span_forward(model, features)
     dg = _divergence_grads(model, tr, generator(spec.generator_kind))
-    rows, cfg = RandomRows.of([rng]), spec.perturbation
+    draws = perturbation_draws(spec.kind, RandomRows.of([rng]), tr.inputs.size, spec.perturbation)
     if spec.kind == "rpt":
-        values, grads = random_search(dg, rows, tr.inputs.size, cfg)
+        values, grads = random_search(dg, draws)
         return PenaltyResult(float(values[0]), grads)
-    values, grads, delta = ascent_search(dg, rows, tr.inputs.size, cfg)
+    values, grads, delta = ascent_search(dg, draws, spec.perturbation)
     return PenaltyResult(float(values[0]), grads, delta.reshape(tr.inputs.shape))
 
 

@@ -5,6 +5,12 @@ contributes the mean smoothness penalty scaled by alpha; one Adam step at the
 constant learning rate follows. The whole run is a pure function of (initial
 model, dataset, config): shuffling and perturbation draws come from streams
 derived from the config seed, so reruns are bit-identical.
+
+Work that does not depend on the model is done once per epoch, not once per
+batch: the epoch's order gathers the features, labels and weights, and
+`perturbation_draws` draws every row's perturbations for the whole order;
+each batch takes its slice of both. A row's draws depend only on its epoch
+and its index in the dataset, so batch boundaries do not move them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import model as mlp
 from .data import UNLABELED, Dataset
-from .regularizers import RegularizerSpec, penalty_batch
+from .regularizers import RegularizerSpec, penalty_batch, perturbation_draws
 from .tensor import RandomSource, permutation
 
 # stream tags under the config seed
@@ -96,16 +102,18 @@ def _scorable_rows(model: mlp.MlpModel, ds: Dataset, name: str = "dataset") -> n
     return idx
 
 
+def _accuracy(tr: mlp.BatchTrace, y: np.ndarray) -> float:
+    """Share of rows whose most probable class is y; ties resolve to the lowest class."""
+    return float(np.mean(np.argmax(tr.posteriors, axis=1) == y))
+
+
 def evaluate(model: mlp.MlpModel, ds: Dataset) -> EvalReport:
     """Accuracy and mean cross-entropy over the labeled examples."""
     mlp._check_one_model(model, "evaluate")
     idx = _scorable_rows(model, ds)
-    X = ds.features[idx]
     y = ds.labels[idx]
-    tr = mlp.forward_batch(model, X)
-    preds = np.argmax(tr.posteriors, axis=1)  # ties resolve to the lowest class
-    ces = mlp.cross_entropy(tr.logits, y)
-    return EvalReport(float(np.mean(preds == y)), float(np.mean(ces)), int(idx.size))
+    tr = mlp.forward_batch(model, ds.features[idx])
+    return EvalReport(_accuracy(tr, y), float(np.mean(mlp.cross_entropy(tr.logits, y))), int(idx.size))
 
 
 def _diverged(epoch: int, batch: int, term: str, exc: ValueError) -> ValueError:
@@ -121,7 +129,13 @@ def _finite_sum(total: float, value: float) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # the loop's own finiteness checks report divergence
 def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict | None = None) -> TrainRun:
-    """Run the full protocol; returns the final model and per-epoch metrics."""
+    """Run the full protocol; returns the final model and per-epoch metrics.
+
+    The training set and every eval set are checked, and the scored sets'
+    labeled rows gathered, before epoch 0. Each epoch then holds one gathered
+    copy of the features (N x n) and, for rpt and vat, D x N x n draws, D
+    being samples_per_example for rpt and 1 for vat.
+    """
     t_start = time.monotonic()
     spec = cfg.regularizer
     mlp._check_one_model(model0, "train")
@@ -134,10 +148,12 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
     if n_labeled == 0 and spec.kind == "none":
         raise ValueError("all examples are unlabeled and there is no penalty: nothing to optimize")
     # (record key, dataset, name in errors) of each set scored after every epoch
-    scored = [("train", ds, "dataset")] if n_labeled else []
-    scored += [(f"eval_{name}", eval_ds, f"eval set '{name}'") for name, eval_ds in (eval_sets or {}).items()]
-    for _, scored_ds, label in scored:
-        _scorable_rows(model0, scored_ds, label)
+    sets = [("train", ds, "dataset")] if n_labeled else []
+    sets += [(f"eval_{name}", eval_ds, f"eval set '{name}'") for name, eval_ds in (eval_sets or {}).items()]
+    scored = []  # (record key, features, labels) of each set's labeled rows
+    for key, scored_ds, label in sets:
+        idx = _scorable_rows(model0, scored_ds, label)
+        scored.append((key, scored_ds.features[idx], scored_ds.labels[idx]))
     y_filled = np.where(labeled, ds.labels, 0)  # any class will do: weights zero these rows
     weights = labeled.astype(np.float64)
     n = ds.n_examples
@@ -149,27 +165,28 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
 
     for epoch in range(cfg.epochs):
         order = permutation(rng.split(_SHUFFLE, epoch), n)
+        X_e, y_e, w_e = ds.features[order], y_filled[order], weights[order]
+        draws_e = None  # jr draws nothing, so it gets no row streams
+        if spec.kind in ("rpt", "vat"):
+            draws_e = perturbation_draws(spec.kind, rng.split(_PENALTY, epoch).split_rows(order), ds.n_features,
+                                         spec.perturbation)
         ce_sum = 0.0
         pen_sum = 0.0
         for b, lo in enumerate(range(0, n, cfg.batch_size)):
-            batch = order[lo : lo + cfg.batch_size]
-            X = ds.features[batch]
-            w_b = weights[batch]
+            hi = min(lo + cfg.batch_size, n)
+            w_b = w_e[lo:hi]
             n_lab = float(w_b.sum())
             term = "cross-entropy"
             try:
-                tr = mlp.forward_batch(model, X)
-                losses, ce_grads, _ = mlp.backward_ce_batch(model, tr, y_filled[batch], weights=w_b)
+                tr = mlp.forward_batch(model, X_e[lo:hi])
+                losses, ce_grads, _ = mlp.backward_ce_batch(model, tr, y_e[lo:hi], weights=w_b)
                 ce_sum = _finite_sum(ce_sum, float(losses @ w_b))
                 grads = (1.0 / n_lab if n_lab else 0.0) * ce_grads
                 if spec.kind != "none":
                     term = "penalty"
-                    rows = None  # jr draws nothing, so it gets no row streams
-                    if spec.kind != "jr":
-                        rows = rng.split(_PENALTY, epoch).split_rows(batch)
-                    values, pen_grads = penalty_batch(model, tr, spec, rows)
+                    values, pen_grads = penalty_batch(model, tr, spec, None if draws_e is None else draws_e[:, lo:hi])
                     pen_sum = _finite_sum(pen_sum, float(values.sum()))
-                    grads = grads + (spec.alpha / len(batch)) * pen_grads
+                    grads = grads + (spec.alpha / (hi - lo)) * pen_grads
                 term = "parameter update"
                 state, update = adam_step(state, grads, cfg.learning_rate)
                 model = mlp.apply_update(model, update, 1.0)
@@ -186,9 +203,9 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
             "total_loss": float(mean_ce + spec.alpha * mean_penalty),
         }
         try:
-            for key, scored_ds, _ in scored:
-                record[f"{key}_accuracy"] = evaluate(model, scored_ds).accuracy
-        except ValueError as exc:  # every set passed evaluate's checks above; logits overflowed
+            for key, X, y in scored:
+                record[f"{key}_accuracy"] = _accuracy(mlp.forward_batch(model, X), y)
+        except ValueError as exc:  # every set passed _scorable_rows above; logits overflowed
             raise _diverged(epoch, b, "parameter update", exc) from None
         epoch_records.append(record)
 

@@ -11,6 +11,7 @@ from pdrlab.regularizers import (
     jr_penalty,
     l2_vs_kl_bound_check,
     penalty_batch,
+    perturbation_draws,
     quadratic_penalty,
     rpt_penalty,
     rpt_penalty_batch,
@@ -167,10 +168,13 @@ def test_rpt_batch_values_ignore_batch_composition():
     X = RandomSource(14).generator().standard_normal((3, 3))
     spec = RegularizerSpec(kind="rpt", perturbation=PerturbationConfig(radius=0.2))
     rngs = [RandomSource(14).split(1, 0, i) for i in range(3)]
-    full, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X), spec, RandomRows.of(rngs))
+    draws = perturbation_draws("rpt", RandomRows.of(rngs), 3, spec.perturbation)
+    full, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X), spec, draws)
     # same example with the same stream, different batch around it; the draw
     # is identical, only GEMM rounding differs between batch shapes
-    solo, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X[1:2]), spec, RandomRows.of([rngs[1]]))
+    solo_draws = perturbation_draws("rpt", RandomRows.of([rngs[1]]), 3, spec.perturbation)
+    assert np.array_equal(solo_draws[:, 0], draws[:, 1])
+    solo, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X[1:2]), spec, solo_draws)
     assert full[1] == pytest.approx(solo[0], abs=1e-12)
 
 
@@ -246,7 +250,8 @@ def test_vat_batch_matches_single_example():
     spec = RegularizerSpec(kind="vat",
                            perturbation=PerturbationConfig(radius=0.1, ascent_steps=1, step_size=0.01))
     rngs = [RandomSource(30 + i) for i in range(3)]
-    values, _, deltas = vat_penalty_batch(m, mlp.forward_batch(m, X), spec, RandomRows.of(rngs))
+    draws = perturbation_draws("vat", RandomRows.of(rngs), 3, spec.perturbation)
+    values, _, deltas = vat_penalty_batch(m, mlp.forward_batch(m, X), spec, draws)
     for i in range(3):
         single = vat_penalty(m, X[i], spec, rngs[i])
         assert values[i] == pytest.approx(single.value, abs=1e-12)
@@ -255,18 +260,16 @@ def test_vat_batch_matches_single_example():
 
 # ---------------------------------------------------------------- the shared search
 
-def loop_rpt_penalty_batch(model, tr, spec, rows):
-    """rpt with its own draw-and-average loop, as written before the search
-    was shared with the span head."""
+def loop_rpt_penalty_batch(model, tr, spec, draws):
+    """rpt with its own average loop over the (samples_per_example, B, n)
+    draws, as written before the search was shared with the span head."""
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
-    b, n = tr.inputs.shape
     scale = 1.0 / cfg.samples_per_example
     acc = np.zeros(model.params.size)
-    values = np.zeros(b)
+    values = np.zeros(tr.inputs.shape[0])
     for s in range(cfg.samples_per_example):
-        eps = gaussian_rows(rows.split(s), n, cfg.radius)
-        trn = mlp.forward_batch(model, tr.inputs + eps)
+        trn = mlp.forward_batch(model, tr.inputs + draws[s])
         vals, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
         values += vals
         grads, _ = mlp.backward_scalar_of_posterior_batch(model, trn, seed)
@@ -275,13 +278,13 @@ def loop_rpt_penalty_batch(model, tr, spec, rows):
     return values, acc
 
 
-def loop_vat_penalty_batch(model, tr, spec, rows):
-    """vat with its own ascent loop, which also took the parameter gradient
-    at every ascent step, as written before the search was shared."""
+def loop_vat_penalty_batch(model, tr, spec, draws):
+    """vat with its own ascent loop from the (1, B, n) draws, which also took
+    the parameter gradient at every ascent step, as written before the search
+    was shared."""
     gen = generator(spec.generator_kind)
     cfg = spec.perturbation
-    n = tr.inputs.shape[1]
-    delta = gaussian_rows(rows.split(0), n, cfg.init_std)
+    delta = draws[0]
     for _ in range(cfg.ascent_steps):
         trn = mlp.forward_batch(model, tr.inputs + delta)
         _, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
@@ -308,10 +311,15 @@ def test_shared_search_matches_the_loops_it_replaced(kind, gen_kind, norm_kind, 
     cfg = PerturbationConfig(radius=0.3, norm_kind=norm_kind, ascent_steps=steps, step_size=0.05,
                              samples_per_example=samples)
     spec = RegularizerSpec(kind=kind, generator_kind=gen_kind, perturbation=cfg)
+    draws = perturbation_draws(kind, rows, 3, cfg)
+    # rpt draws samples_per_example streams of std radius, vat one start of std init_std
+    want_draws = ([gaussian_rows(rows.split(s), 3, cfg.radius) for s in range(samples)] if kind == "rpt"
+                  else [gaussian_rows(rows.split(0), 3, cfg.init_std)])
+    assert np.array_equal(draws, np.stack(want_draws))
     if kind == "rpt":
-        got, want = rpt_penalty_batch(m, tr, spec, rows), loop_rpt_penalty_batch(m, tr, spec, rows)
+        got, want = rpt_penalty_batch(m, tr, spec, draws), loop_rpt_penalty_batch(m, tr, spec, draws)
     else:
-        got, want = vat_penalty_batch(m, tr, spec, rows), loop_vat_penalty_batch(m, tr, spec, rows)
+        got, want = vat_penalty_batch(m, tr, spec, draws), loop_vat_penalty_batch(m, tr, spec, draws)
         assert np.array_equal(got[2], want[2])
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -323,17 +331,21 @@ def test_penalty_batch_dispatch():
     m = small_model(59)
     X = RandomSource(26).generator().standard_normal((2, 3))
     tr = mlp.forward_batch(m, X)
-    rngs = RandomRows.of([RandomSource(40 + i) for i in range(2)])
+    rows = RandomRows.of([RandomSource(40 + i) for i in range(2)])
+    draws = {kind: perturbation_draws(kind, rows, 3, PerturbationConfig(radius=0.1)) for kind in ("rpt", "vat")}
     for kind in ("jr", "rpt", "vat"):
         spec = RegularizerSpec(kind=kind, perturbation=PerturbationConfig(radius=0.1))
-        values, grads = penalty_batch(m, tr, spec, rngs)
+        values, grads = penalty_batch(m, tr, spec, draws.get(kind))
         assert values.shape == (2,)
         assert grads.shape == m.params.shape
-    # jr draws nothing, so it needs no row streams
+    # jr draws nothing, so it needs no draws
     values, _ = penalty_batch(m, tr, RegularizerSpec(kind="jr"), None)
-    assert np.array_equal(values, penalty_batch(m, tr, RegularizerSpec(kind="jr"), rngs)[0])
+    assert np.array_equal(values, penalty_batch(m, tr, RegularizerSpec(kind="jr"), draws["rpt"])[0])
     with pytest.raises(ValueError):
-        penalty_batch(m, tr, RegularizerSpec(kind="none"), rngs)
+        penalty_batch(m, tr, RegularizerSpec(kind="none"), draws["rpt"])
+    for kind in ("none", "jr"):
+        with pytest.raises(ValueError, match=f"no perturbation draws for kind '{kind}'"):
+            perturbation_draws(kind, rows, 3, PerturbationConfig())
 
 
 @pytest.mark.parametrize("fn, own, kind", [
@@ -347,7 +359,7 @@ def test_penalty_rejects_a_spec_of_another_kind(fn, own, kind):
     if fn in (rpt_penalty, vat_penalty):
         args = (x, RandomSource(40))
     else:
-        args = (mlp.forward(m, x), RandomRows.of([RandomSource(40)]))
+        args = (mlp.forward(m, x), perturbation_draws(own, RandomRows.of([RandomSource(40)]), 3, PerturbationConfig()))
     with pytest.raises(ValueError, match=f"needs a spec of kind '{own}', got '{kind}'"):
         fn(m, args[0], RegularizerSpec(kind), args[1])
 

@@ -97,7 +97,7 @@ def test_split_rows_matches_scalar_split(seed, path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 17])
 def test_gaussian_rows_row_is_its_own_gaussian_vec(n):
     rng = RandomSource(2**64 - 3).split(1, 4)
     index = np.arange(40)
@@ -113,6 +113,12 @@ def test_gaussian_rows_row_is_its_own_gaussian_vec(n):
     draws = gaussian_rows(RandomRows.of(mixed), n)
     for r, row in zip(mixed, draws):
         assert np.array_equal(row, gaussian_vec(r, n))
+    # an epoch-sized draw over a permuted order, sliced into batches of 32
+    # as the trainer slices it, equals drawing batch by batch
+    epoch = np.random.default_rng(n).permutation(1000)
+    whole = gaussian_rows(rng.split_rows(epoch), n, 0.3)
+    for lo in range(0, 1000, 32):
+        assert np.array_equal(whole[lo : lo + 32], gaussian_rows(rng.split_rows(epoch[lo : lo + 32]), n, 0.3))
 
 
 def test_gaussian_vec_zero_std_is_exact_zero():

@@ -257,6 +257,30 @@ def test_overflowed_second_moment_is_divergence():
         train(init_model_for(huge, (), seed=1), huge, quick_config())  # no tanh to saturate
 
 
+@pytest.mark.parametrize("name, failing_call, message, kind", [
+    *[pytest.param("penalty_batch", 3, "training diverged at epoch 0, batch 2, in the penalty: planted", kind,
+                   id=f"penalty_batch-{kind}") for kind in ("jr", "rpt", "vat")],
+    # draws do not depend on the model, so a draw error is no divergence of the run
+    *[pytest.param("perturbation_draws", 2, "planted", kind, id=f"perturbation_draws-{kind}")
+      for kind in ("rpt", "vat")],
+])
+def test_a_failure_names_where_it_happened(monkeypatch, name, failing_call, message, kind):
+    real, calls = getattr(trainer, name), []
+
+    def fails_once(*args):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise ValueError("planted")
+        return real(*args)
+
+    monkeypatch.setattr(trainer, name, fails_once)
+    ds = tiny_moons(n=60)
+    spec = RegularizerSpec(kind, alpha=1.0, perturbation=PerturbationConfig(radius=0.2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(init_model_for(ds, (4,), seed=1), ds, quick_config(regularizer=spec))
+    assert len(calls) == failing_call
+
+
 @pytest.mark.parametrize("call", [
     lambda stack, ds, path: train(stack, ds, quick_config()),
     lambda stack, ds, path: evaluate(stack, ds),
