@@ -10,8 +10,10 @@ gradient of its squared norm is one reverse sweep over that accumulation.
 `forward`, `posterior` and `input_jacobian` take one 1-D example, and `forward`
 returns its one-row BatchTrace. Gradients come from the *_batch functions, one
 example per row; one example's gradients are theirs on its one-row trace.
-`_forward_core` and `_tangent` also take a (T, 1, n) stack of one-row inputs,
-each of which rounds exactly as it does alone; a (T, n) GEMM may not.
+`forward_batch` and `_backward_from_logits` also take an (S, B, ·) stack of row
+blocks, as the trainer's one pass over clean and perturbed rows, and return
+one result per slice; `_forward_core` and `_tangent` take a (T, 1, n) stack.
+Each slice rounds exactly as it does alone; one (S*B, n) GEMM may not.
 
 A model may also hold an (S, P) stack of parameter vectors, with (S, out, in)
 weights and (S, 1, out) biases. `_forward_core`, `forward`, `posterior`,
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RandomSource, as_mat, log_sum_exp, softmax
+from .tensor import RandomSource, log_sum_exp, softmax_and_log_sum_exp
 
 MODEL_FORMAT_VERSION = 1
 
@@ -144,12 +146,18 @@ def _layer_array(l: int, key: str, value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchTrace:
-    """Everything the backward passes need, one example per row."""
+    """Everything the backward passes need, one example per row; a stacked
+    pass puts its stack axis first, and tr[s] is the trace of slice s."""
 
     inputs: np.ndarray  # (B, n)
     hiddens: tuple[np.ndarray, ...]  # post-tanh activations, (B, h_l) each
     logits: np.ndarray  # (B, m)
     posteriors: np.ndarray  # (B, m)
+    log_normalizers: np.ndarray  # (B,), each row's log-sum-exp of its logits
+
+    def __getitem__(self, s) -> "BatchTrace":
+        hiddens = tuple(a[s] for a in self.hiddens)
+        return BatchTrace(self.inputs[s], hiddens, self.logits[s], self.posteriors[s], self.log_normalizers[s])
 
 
 def init_mlp(layer_dims, rng: RandomSource) -> MlpModel:
@@ -165,9 +173,11 @@ def init_mlp(layer_dims, rng: RandomSource) -> MlpModel:
 
 
 def _check_batch_inputs(model: MlpModel, X) -> np.ndarray:
-    X = as_mat(X, "input matrix")
-    if X.shape[1] != model.n_inputs:
-        raise ValueError(f"inputs must have shape (B, {model.n_inputs}), got {X.shape}")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (2, 3) or X.shape[-1] != model.n_inputs:
+        raise ValueError(f"inputs must have shape (B, {model.n_inputs}) or (S, B, {model.n_inputs}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("input matrix has non-finite entries")
     return X
 
 
@@ -183,17 +193,23 @@ def _forward_core(model: MlpModel, X):
 
 
 def forward_batch(model: MlpModel, X) -> BatchTrace:
+    """The trace of rows X (B, n) or of an (S, B, n) stack: one core pass, one softmax."""
     X = _check_batch_inputs(model, X)
     hiddens, logits = _forward_core(model, X)
-    return BatchTrace(X, hiddens, logits, softmax(logits))
+    return BatchTrace(X, hiddens, logits, *softmax_and_log_sum_exp(logits))
+
+
+def _one_row(x) -> np.ndarray:
+    """The (1, n) row of one 1-D example."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"forward expects a 1-D input, got shape {x.shape}")
+    return x[None, :]
 
 
 def forward(model: MlpModel, x) -> BatchTrace:
     """Run one example through the network: the one-row trace of x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"forward expects a 1-D input, got shape {x.shape}")
-    return forward_batch(model, x[None, :])
+    return forward_batch(model, _one_row(x))
 
 
 def posterior(model: MlpModel, x) -> np.ndarray:
@@ -206,20 +222,22 @@ def _backward_from_logits(model, tr, g_logits, want_param_grads=True, g_sech2=No
 
     tr needs `inputs` and `hiddens` as a BatchTrace has them; g_sech2 adds a
     d(scalar)/d(1 - a_l^2) for each hidden layer. Returns (flat parameter
-    grads summed over the batch, or None when not wanted; input grads, one per row).
+    grads summed over the batch, (S, P) for (S, B, m) seeds on a stacked trace,
+    or None when not wanted; input grads, one per row).
     """
     parts = []  # b_l, W_l for l = L-1 .. 0: the parameter layout reversed
     d = g_logits
+    lead = d.shape[:-2]
     for l in range(len(model.weights) - 1, -1, -1):
         a_prev = tr.hiddens[l - 1] if l > 0 else tr.inputs
         if want_param_grads:
-            parts += [d.sum(axis=0), (d.T @ a_prev).ravel()]
+            parts += [d.sum(axis=-2), (d.mT @ a_prev).reshape(*lead, -1)]
         d = d @ model.weights[l]
         if l > 0:
             if g_sech2 is not None:
                 d = d - 2.0 * a_prev * g_sech2[l - 1]
             d = d * (1.0 - a_prev * a_prev)
-    return (np.concatenate(parts[::-1]) if want_param_grads else None), d
+    return (np.concatenate(parts[::-1], axis=-1) if want_param_grads else None), d
 
 
 def _softmax_vjp(p, g):
@@ -233,6 +251,17 @@ def cross_entropy(logits, labels) -> np.ndarray:
     return log_sum_exp(logits) - logits[..., np.arange(logits.shape[-2]), labels]
 
 
+def cross_entropy_seed(tr: BatchTrace, labels, weights=None):
+    """(losses, d(sum_i w_i loss_i)/d logits) for checked labels; each loss is its
+    row's log-normalizer minus its labeled logit, `cross_entropy` bit for bit."""
+    rows = np.arange(len(labels))
+    g = tr.posteriors.copy()
+    g[rows, labels] -= 1.0
+    if weights is not None:
+        g = g * np.asarray(weights)[:, None]
+    return tr.log_normalizers - tr.logits[rows, labels], g
+
+
 def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     """Cross-entropy losses and gradients for a batch.
 
@@ -244,11 +273,7 @@ def backward_ce_batch(model, tr: BatchTrace, labels, weights=None):
     b, m = tr.logits.shape
     if labels.dtype.kind not in "iu" or labels.shape != (b,) or not ((0 <= labels) & (labels < m)).all():
         raise ValueError(f"labels must be {b} class indices in [0, {m}), got {labels!r}")
-    losses = cross_entropy(tr.logits, labels)
-    g = tr.posteriors.copy()
-    g[np.arange(b), labels] -= 1.0
-    if weights is not None:
-        g = g * np.asarray(weights)[:, None]
+    losses, g = cross_entropy_seed(tr, labels, weights)
     grads, xg = _backward_from_logits(model, tr, g)
     return losses, grads, xg
 

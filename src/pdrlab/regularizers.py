@@ -17,6 +17,11 @@ per example, so the trainer draws a whole epoch at once and hands each batch
 its slice. A head supplies only `divergence_grads(delta, want_param_grads)`;
 the span head's lives in `spans`. Every penalty holds the clean posterior
 constant for gradient purposes (stop-gradient), as VAT does.
+
+For the classifier, `search_inputs` stacks the clean rows with every row the
+search visits first, so one forward and one backward, which also carries the
+caller's clean-row seed (the trainer's cross-entropy), serve them all; only
+vat's later ascent steps and its final point take passes of their own.
 """
 
 from __future__ import annotations
@@ -147,17 +152,42 @@ def ascent_search(divergence_grads, draws: np.ndarray, cfg: PerturbationConfig):
     return values, grads, delta
 
 
-def _divergence_grads(model, tr: mlp.BatchTrace, gen: Generator):
-    """The classifier's `divergence_grads`: row i's divergence from tr's
-    posterior to the one at tr.inputs[i] + delta[i]."""
+def search_inputs(X, spec: RegularizerSpec, draws: np.ndarray | None) -> np.ndarray:
+    """(1 + D, B, n): the clean rows X (B, n), then X + each delta the search
+    visits first: every rpt draw, or vat's start, draws[0], projected when
+    ascent_steps is 0. none and jr stack X alone."""
+    if spec.kind not in ("rpt", "vat"):
+        return X[None]
+    if spec.kind == "vat":
+        draws = draws[:1] if spec.perturbation.ascent_steps else _project(draws[:1], spec.perturbation)
+    return np.concatenate((X[None], X + draws))
+
+
+def _first_pass(model, tr: mlp.BatchTrace, spec: RegularizerSpec, clean_seed):
+    """(grads of clean_seed, the classifier's `divergence_grads`) from one
+    backward over tr, the trace of `search_inputs`, with clean_seed (zero when
+    None) on the clean slice. The first D calls of `divergence_grads` return
+    the stacked slices' results, in the order `search_inputs` stacked them."""
+    if tr.inputs.ndim != 3:
+        raise ValueError(f"a {spec.kind} penalty needs the (1 + D, B, n) trace of search_inputs, got {tr.inputs.shape}")
+    gen = generator(spec.generator_kind)
+    p = tr.posteriors[0]
+    values, seeds = _divergence_rows(gen, tr.posteriors[1:], p)
+    clean_seed = np.zeros_like(p) if clean_seed is None else clean_seed
+    grads, xg = mlp._backward_from_logits(model, tr, np.concatenate(
+        (clean_seed[None], mlp._softmax_vjp(tr.posteriors[1:], seeds))))
+    stacked = zip(values, grads[1:], xg[1:])
 
     def divergence_grads(delta, want_param_grads=True):
-        trn = mlp.forward_batch(model, tr.inputs + delta)
-        values, seed = _divergence_rows(gen, trn.posteriors, tr.posteriors)
+        done = next(stacked, None)
+        if done is not None:
+            return done
+        trn = mlp.forward_batch(model, tr.inputs[0] + delta)
+        values, seed = _divergence_rows(gen, trn.posteriors, p)
         grads, xg = mlp.backward_scalar_of_posterior_batch(model, trn, seed, want_param_grads)
         return values, grads, xg
 
-    return divergence_grads
+    return grads[0], divergence_grads
 
 
 def _check_kind(spec: RegularizerSpec, kind: str) -> None:
@@ -165,51 +195,59 @@ def _check_kind(spec: RegularizerSpec, kind: str) -> None:
         raise ValueError(f"a {kind} penalty needs a spec of kind {kind!r}, got {spec.kind!r}")
 
 
-def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray):
-    """rpt for a batch of B rows and its (D, B, n) `perturbation_draws`:
-    (values (B,), flat parameter grads)."""
+def rpt_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray, clean_seed=None):
+    """rpt for a batch of B rows, its (D, B, n) `perturbation_draws` and the trace
+    of their `search_inputs`: (values (B,), flat parameter grads, grads of clean_seed)."""
     _check_kind(spec, "rpt")
-    dg = _divergence_grads(model, tr, generator(spec.generator_kind))
-    return random_search(dg, draws)
+    clean_grads, dg = _first_pass(model, tr, spec, clean_seed)
+    return (*random_search(dg, draws), clean_grads)
 
 
-def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray):
-    """vat for a batch of B rows and its (1, B, n) `perturbation_draws`:
-    (values, grads, perturbations (B, n))."""
+def vat_penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray, clean_seed=None):
+    """vat for a batch of B rows, its (1, B, n) `perturbation_draws` and the trace
+    of their `search_inputs`: (values, grads, perturbations (B, n), grads of clean_seed)."""
     _check_kind(spec, "vat")
-    dg = _divergence_grads(model, tr, generator(spec.generator_kind))
-    return ascent_search(dg, draws, spec.perturbation)
+    clean_grads, dg = _first_pass(model, tr, spec, clean_seed)
+    return (*ascent_search(dg, draws, spec.perturbation), clean_grads)
 
 
 def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence under a Gaussian draw for one example."""
     mlp._check_one_model(model, "rpt_penalty")
-    tr = mlp.forward(model, x)
-    draws = perturbation_draws("rpt", RandomRows.of([rng]), tr.inputs.shape[1], spec.perturbation)
-    values, grads = rpt_penalty_batch(model, tr, spec, draws)
+    X = mlp._one_row(x)
+    draws = perturbation_draws("rpt", RandomRows.of([rng]), X.shape[1], spec.perturbation)
+    values, grads, _ = rpt_penalty_batch(model, mlp.forward_batch(model, search_inputs(X, spec, draws)), spec, draws)
     return PenaltyResult(float(values[0]), grads)
 
 
 def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyResult:
     """Divergence at the adversarial perturbation for one example."""
     mlp._check_one_model(model, "vat_penalty")
-    tr = mlp.forward(model, x)
-    draws = perturbation_draws("vat", RandomRows.of([rng]), tr.inputs.shape[1], spec.perturbation)
-    values, grads, delta = vat_penalty_batch(model, tr, spec, draws)
+    X = mlp._one_row(x)
+    draws = perturbation_draws("vat", RandomRows.of([rng]), X.shape[1], spec.perturbation)
+    values, grads, delta, _ = vat_penalty_batch(model, mlp.forward_batch(model, search_inputs(X, spec, draws)), spec,
+                                                draws)
     return PenaltyResult(float(values[0]), grads, delta[0])
 
 
-def penalty_batch(model, tr, spec: RegularizerSpec, draws: np.ndarray | None):
-    """Dispatch on spec.kind; returns (values (B,), flat parameter grads).
+def penalty_batch(model, tr: mlp.BatchTrace, spec: RegularizerSpec, draws: np.ndarray | None, clean_seed=None):
+    """Dispatch on spec.kind; returns (values (B,), flat parameter grads, grads
+    of clean_seed (B, m) at the clean rows, zero when it is None).
 
-    draws are the batch's `perturbation_draws`, None for jr, which draws nothing.
+    tr is the trace of the batch's `search_inputs` and draws its
+    `perturbation_draws`, None for jr, which draws nothing and runs its own
+    kernel on the clean slice.
     """
     if spec.kind == "jr":
-        return mlp.jacobian_sq_norm_grads_batch(model, tr)
+        clean = tr[0]
+        values, grads = mlp.jacobian_sq_norm_grads_batch(model, clean)
+        seed = np.zeros_like(clean.logits) if clean_seed is None else clean_seed
+        return values, grads, mlp._backward_from_logits(model, clean, seed)[0]
     if spec.kind == "rpt":
-        return rpt_penalty_batch(model, tr, spec, draws)
+        return rpt_penalty_batch(model, tr, spec, draws, clean_seed)
     if spec.kind == "vat":
-        return vat_penalty_batch(model, tr, spec, draws)[:2]
+        values, grads, _, clean_grads = vat_penalty_batch(model, tr, spec, draws, clean_seed)
+        return values, grads, clean_grads
     raise ValueError(f"no penalty for kind {spec.kind!r}")
 
 

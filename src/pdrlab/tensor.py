@@ -3,9 +3,11 @@
 Everything operates on plain numpy arrays. Vectors are 1-D float64, matrices
 2-D float64; batched variants act along the last axis.
 
-Draws are bit-reproducible from the seed on one platform and numpy build. The
-Gaussian kernel calls libm's log, cos and sin, whose last-bit rounding may
-differ between platforms, so no cross-platform identity is claimed.
+Draws and trained bytes are reproducible from the seed on one host only: they
+depend on the numpy build and its run-time SIMD dispatch (exp, log, cos, sin,
+tanh), on the GEMM kernel OpenBLAS picks, and on libm where numpy falls back
+to it. Row blocks stacked on a new leading axis keep each block's bytes, as
+the GEMMs run block by block; rows concatenated into one GEMM do not.
 
 Every penalty perturbation, for the classifier and the span head alike,
 comes from `gaussian_rows` (or its one-row case `gaussian_vec`). The Philox
@@ -206,11 +208,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     Output entries are strictly positive and sum to 1 to float64 accuracy;
     the result is invariant to adding a constant to all logits.
     """
+    return softmax_and_log_sum_exp(logits)[0]
+
+
+def softmax_and_log_sum_exp(logits: np.ndarray):
+    """(softmax, log_sum_exp) from one max, exp and sum, each with its own function's bytes."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("softmax input has non-finite entries")
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    top = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, (top + np.log(total))[..., 0]
 
 
 def frobenius_norm(mat: np.ndarray) -> float:

@@ -11,6 +11,10 @@ batch: the epoch's order gathers the features, labels and weights, and
 `perturbation_draws` draws every row's perturbations for the whole order;
 each batch takes its slice of both. A row's draws depend only on its epoch
 and its index in the dataset, so batch boundaries do not move them.
+
+A step forwards its clean and perturbed rows as one `search_inputs` stack and
+sends the cross-entropy seed back with the penalty's in one backward, so
+none, jr and rpt make one `forward_batch` call a step and vat ascent_steps + 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import model as mlp
 from .data import UNLABELED, Dataset
-from .regularizers import RegularizerSpec, penalty_batch, perturbation_draws
+from .regularizers import RegularizerSpec, penalty_batch, perturbation_draws, search_inputs
 from .tensor import RandomSource, permutation
 
 # stream tags under the config seed
@@ -174,19 +178,29 @@ def train(model0: mlp.MlpModel, ds: Dataset, cfg: TrainConfig, eval_sets: dict |
         pen_sum = 0.0
         for b, lo in enumerate(range(0, n, cfg.batch_size)):
             hi = min(lo + cfg.batch_size, n)
-            w_b = w_e[lo:hi]
+            X_b, w_b = X_e[lo:hi], w_e[lo:hi]
+            draws = None if draws_e is None else draws_e[:, lo:hi]
             n_lab = float(w_b.sum())
+            ce_scale = 1.0 / n_lab if n_lab else 0.0
             term = "cross-entropy"
             try:
-                tr = mlp.forward_batch(model, X_e[lo:hi])
-                losses, ce_grads, _ = mlp.backward_ce_batch(model, tr, y_e[lo:hi], weights=w_b)
-                ce_sum = _finite_sum(ce_sum, float(losses @ w_b))
-                grads = (1.0 / n_lab if n_lab else 0.0) * ce_grads
-                if spec.kind != "none":
+                try:
+                    tr = mlp.forward_batch(model, search_inputs(X_b, spec, draws))
+                except ValueError:
+                    mlp.forward_batch(model, X_b)  # raises here if the clean rows fail alone
                     term = "penalty"
-                    values, pen_grads = penalty_batch(model, tr, spec, None if draws_e is None else draws_e[:, lo:hi])
+                    raise
+                clean = tr[0]
+                losses, seed = mlp.cross_entropy_seed(clean, y_e[lo:hi], w_b)
+                ce_sum = _finite_sum(ce_sum, float(losses @ w_b))
+                if spec.kind == "none":
+                    ce_grads, _ = mlp._backward_from_logits(model, clean, seed)
+                    grads = ce_scale * ce_grads
+                else:
+                    term = "penalty"
+                    values, pen_grads, ce_grads = penalty_batch(model, tr, spec, draws, seed)
                     pen_sum = _finite_sum(pen_sum, float(values.sum()))
-                    grads = grads + (spec.alpha / (hi - lo)) * pen_grads
+                    grads = ce_scale * ce_grads + (spec.alpha / (hi - lo)) * pen_grads
                 term = "parameter update"
                 state, update = adam_step(state, grads, cfg.learning_rate)
                 model = mlp.apply_update(model, update, 1.0)

@@ -6,8 +6,8 @@ re-run frozen training protocols whose hyperparameters were fixed once by a
 calibration run; the calibrated reference means sit in comments next to the
 constants so drift is easy to diagnose. Before their verdicts they print
 each seed's paired accuracy difference, since a gap between means can sit
-well inside seed noise. Everything here is deterministic in the seeds
-written below.
+well inside seed noise, with its mean and the exact p-value of a paired
+sign-flip test. Everything here is deterministic in the seeds written below.
 """
 
 import dataclasses
@@ -46,13 +46,43 @@ def _verdict(num: int, label: str, ok: bool, detail: str):
     assert ok, line
 
 
-def _paired(num: int, label: str, accs, base):
-    """Print accs - base per seed in percentage points, and on how many seeds
-    accs wins, ties and loses."""
+def _sign_flip_p(diff, one_sided=False) -> float:
+    """Exact p-value of the paired sign-flip randomization test that diff is
+    centred on 0: the share of all 2^k sign patterns of its k entries whose sum
+    reaches the observed sum, in absolute value, or from above when one_sided
+    (Fisher 1935). It enumerates the patterns and draws no random number."""
+    d = np.asarray(diff, dtype=np.float64)
+    signs = 1 - 2 * ((np.arange(2 ** d.size)[:, None] >> np.arange(d.size)) & 1)
+    sums, total = signs @ d, d.sum()
+    tol = 1e-9 * (1.0 + np.abs(d).sum())  # a pattern that ties the observed sum may round below it
+    return float(np.mean(sums >= total - tol if one_sided else np.abs(sums) >= abs(total) - tol))
+
+
+def _paired(num: int, label: str, accs, base, margin=None):
+    """Print accs - base per seed in percentage points, on how many seeds accs
+    wins, ties and loses, the mean difference and its two-sided sign-flip p.
+    A margin claim, accs >= base - margin pp, also gets the one-sided p of
+    the differences plus the margin."""
     diff = 100 * (np.asarray(accs) - np.asarray(base))
     wins, ties = int(np.sum(diff > 0)), int(np.sum(diff == 0))
-    print(f"criterion {num:02d} paired {label}, pp by seed: " + " ".join(f"{d:+.2f}" for d in diff)
-          + f"; wins/ties/losses {wins}/{ties}/{diff.size - wins - ties}")
+    line = (f"criterion {num:02d} paired {label}, pp by seed: " + " ".join(f"{d:+.2f}" for d in diff)
+            + f"; wins/ties/losses {wins}/{ties}/{diff.size - wins - ties}"
+            + f"; mean {np.mean(diff):+.2f} pp, two-sided p {_sign_flip_p(diff):.3f}")
+    if margin is not None:
+        line += f"; one-sided p of >= -{margin} pp {_sign_flip_p(diff + margin, one_sided=True):.3f}"
+    print(line)
+
+
+@pytest.mark.parametrize("diff, two_sided, one_sided", [
+    ([0.5] * 10, 2 / 1024, 1 / 1024),  # every pattern but all-plus and all-minus sums lower
+    ([1.0, 2.0, 3.0], 2 / 8, 1 / 8),
+    ([3.0, -1.0], 1.0, 2 / 4),  # sums 2, 4, -4, -2 against the observed 2
+    ([0.0] * 4, 1.0, 1.0),
+    ([0.1, 0.2, -0.3], 1.0, 5 / 8),  # the sum rounds to 5.6e-17, yet (-0.1, -0.2, 0.3) ties it
+])
+def test_sign_flip_p_values(diff, two_sided, one_sided):
+    assert _sign_flip_p(diff) == two_sided
+    assert _sign_flip_p(diff, one_sided=True) == one_sided
 
 
 # ------------------------------------------------------------------------ 01
@@ -316,8 +346,8 @@ def test_criterion_06_in_domain_trend():
     elapsed = time.time() - t0
     others = {k: v for k, v in means.items() if k != "STD"}
     for name in others:
-        _paired(6, f"{name} - STD", accs[name], accs["STD"])
-    _paired(6, "VAT_JSD - VAT_KL", accs["VAT_JSD"], accs["VAT_KL"])
+        _paired(6, f"{name} - STD", accs[name], accs["STD"], margin=0.5)
+    _paired(6, "VAT_JSD - VAT_KL", accs["VAT_JSD"], accs["VAT_KL"], margin=0.5)
     ok = (means["VAT_JSD"] >= means["VAT_KL"] - 0.005
           and min(others.values()) >= means["STD"] - 0.005
           and max(others.values()) >= means["STD"] + 0.01
@@ -372,8 +402,8 @@ def test_criterion_08_semi_supervised_matches_fully_labeled():
     best = max(float(np.mean(kl_accs)), float(np.mean(jsd_accs)))
     elapsed = time.time() - t0
     ok = best >= std - 0.01 and elapsed < 600.0
-    _paired(8, "VAT_KL half labels - STD", kl_accs, std_accs)
-    _paired(8, "VAT_JSD half labels - STD", jsd_accs, std_accs)
+    _paired(8, "VAT_KL half labels - STD", kl_accs, std_accs, margin=1)
+    _paired(8, "VAT_JSD half labels - STD", jsd_accs, std_accs, margin=1)
     _verdict(8, "semi-supervised vs fully labeled", ok,
              f"best VAT at half labels {100 * best:.2f} vs fully labeled STD {100 * std:.2f}, "
              f"{elapsed:.0f}s")

@@ -177,6 +177,33 @@ def test_forward_batch_matches_single_rows():
         assert np.allclose(tr.posteriors[i], single.posteriors[0], atol=1e-13)
 
 
+@pytest.mark.parametrize("hidden", [(6,), (5, 4)], ids=["6", "5-4"])
+@pytest.mark.parametrize("rows", [1, 13, 16, 32])  # 13: a partial batch of 16
+@pytest.mark.parametrize("n_stack", [2, 4])
+def test_a_row_stack_is_its_slices(n_stack, rows, hidden):
+    # the trainer forwards clean and perturbed rows as one stack on a new
+    # leading axis; each slice must keep the bytes of its own call
+    m = mlp.init_mlp((3, *hidden, 4), RandomSource(rows))
+    g = RandomSource(100 + rows).generator()
+    X = g.standard_normal((n_stack, rows, 3))
+    seeds = g.standard_normal((n_stack, rows, 4))
+    labels = g.integers(0, 4, rows)
+    tr = mlp.forward_batch(m, X)
+    grads, xg = mlp._backward_from_logits(m, tr, seeds)
+    assert grads.shape == (n_stack, m.params.size)
+    for s in range(n_stack):
+        one = mlp.forward_batch(m, X[s])
+        for got, want in ((tr[s].inputs, one.inputs), (tr[s].logits, one.logits),
+                          (tr[s].posteriors, one.posteriors), (tr[s].log_normalizers, one.log_normalizers),
+                          *zip(tr[s].hiddens, one.hiddens)):
+            assert same_bits(got, want)
+        g1, xg1 = mlp._backward_from_logits(m, one, seeds[s])
+        assert same_bits(grads[s], g1) and same_bits(xg[s], xg1)
+        # the cross-entropy read off the log-normalizers is `cross_entropy`, bit for bit
+        losses, _ = mlp.cross_entropy_seed(tr[s], labels)
+        assert same_bits(losses, mlp.cross_entropy(one.logits, labels))
+
+
 def test_posterior_is_a_distribution():
     m = small_model(11, dims=(4, 6, 5))
     p = mlp.posterior(m, np.array([0.1, 0.2, -0.3, 1.0]))

@@ -15,6 +15,7 @@ from pdrlab.regularizers import (
     quadratic_penalty,
     rpt_penalty,
     rpt_penalty_batch,
+    search_inputs,
     vat_penalty,
     vat_penalty_batch,
 )
@@ -30,6 +31,11 @@ def small_model(seed=1, dims=(3, 5, 3)):
 def assert_grads_close(grads, fd, tol=1e-4):
     assert grads.shape == fd.shape
     assert _grad_rel_err(grads, fd) < tol
+
+
+def first_pass(model, X, spec, draws):
+    """The trace of the batch's stacked first pass."""
+    return mlp.forward_batch(model, search_inputs(X, spec, draws))
 
 
 def frozen_divergence(model, x, eps, p_clean, kind):
@@ -169,12 +175,12 @@ def test_rpt_batch_values_ignore_batch_composition():
     spec = RegularizerSpec(kind="rpt", perturbation=PerturbationConfig(radius=0.2))
     rngs = [RandomSource(14).split(1, 0, i) for i in range(3)]
     draws = perturbation_draws("rpt", RandomRows.of(rngs), 3, spec.perturbation)
-    full, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X), spec, draws)
+    full, _, _ = rpt_penalty_batch(m, first_pass(m, X, spec, draws), spec, draws)
     # same example with the same stream, different batch around it; the draw
     # is identical, only GEMM rounding differs between batch shapes
     solo_draws = perturbation_draws("rpt", RandomRows.of([rngs[1]]), 3, spec.perturbation)
     assert np.array_equal(solo_draws[:, 0], draws[:, 1])
-    solo, _ = rpt_penalty_batch(m, mlp.forward_batch(m, X[1:2]), spec, solo_draws)
+    solo, _, _ = rpt_penalty_batch(m, first_pass(m, X[1:2], spec, solo_draws), spec, solo_draws)
     assert full[1] == pytest.approx(solo[0], abs=1e-12)
 
 
@@ -251,7 +257,7 @@ def test_vat_batch_matches_single_example():
                            perturbation=PerturbationConfig(radius=0.1, ascent_steps=1, step_size=0.01))
     rngs = [RandomSource(30 + i) for i in range(3)]
     draws = perturbation_draws("vat", RandomRows.of(rngs), 3, spec.perturbation)
-    values, _, deltas = vat_penalty_batch(m, mlp.forward_batch(m, X), spec, draws)
+    values, _, deltas, _ = vat_penalty_batch(m, first_pass(m, X, spec, draws), spec, draws)
     for i in range(3):
         single = vat_penalty(m, X[i], spec, rngs[i])
         assert values[i] == pytest.approx(single.value, abs=1e-12)
@@ -316,10 +322,11 @@ def test_shared_search_matches_the_loops_it_replaced(kind, gen_kind, norm_kind, 
     want_draws = ([gaussian_rows(rows.split(s), 3, cfg.radius) for s in range(samples)] if kind == "rpt"
                   else [gaussian_rows(rows.split(0), 3, cfg.init_std)])
     assert np.array_equal(draws, np.stack(want_draws))
+    stacked = first_pass(m, X, spec, draws)
     if kind == "rpt":
-        got, want = rpt_penalty_batch(m, tr, spec, draws), loop_rpt_penalty_batch(m, tr, spec, draws)
+        got, want = rpt_penalty_batch(m, stacked, spec, draws), loop_rpt_penalty_batch(m, tr, spec, draws)
     else:
-        got, want = vat_penalty_batch(m, tr, spec, draws), loop_vat_penalty_batch(m, tr, spec, draws)
+        got, want = vat_penalty_batch(m, stacked, spec, draws), loop_vat_penalty_batch(m, tr, spec, draws)
         assert np.array_equal(got[2], want[2])
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -333,16 +340,25 @@ def test_penalty_batch_dispatch():
     tr = mlp.forward_batch(m, X)
     rows = RandomRows.of([RandomSource(40 + i) for i in range(2)])
     draws = {kind: perturbation_draws(kind, rows, 3, PerturbationConfig(radius=0.1)) for kind in ("rpt", "vat")}
+    _, seed = mlp.cross_entropy_seed(tr, np.array([0, 2]), np.array([1.0, 0.5]))
+    want_clean, _ = mlp._backward_from_logits(m, tr, seed)
     for kind in ("jr", "rpt", "vat"):
         spec = RegularizerSpec(kind=kind, perturbation=PerturbationConfig(radius=0.1))
-        values, grads = penalty_batch(m, tr, spec, draws.get(kind))
+        stacked = first_pass(m, X, spec, draws.get(kind))
+        values, grads, clean_grads = penalty_batch(m, stacked, spec, draws.get(kind), seed)
         assert values.shape == (2,)
         assert grads.shape == m.params.shape
+        # the clean seed rides along in the penalty's backward, with its own call's bytes
+        assert np.array_equal(clean_grads, want_clean)
+        assert not penalty_batch(m, stacked, spec, draws.get(kind))[2].any()
     # jr draws nothing, so it needs no draws
-    values, _ = penalty_batch(m, tr, RegularizerSpec(kind="jr"), None)
-    assert np.array_equal(values, penalty_batch(m, tr, RegularizerSpec(kind="jr"), draws["rpt"])[0])
+    stacked = first_pass(m, X, RegularizerSpec(kind="jr"), None)
+    values, _, _ = penalty_batch(m, stacked, RegularizerSpec(kind="jr"), None)
+    assert np.array_equal(values, penalty_batch(m, stacked, RegularizerSpec(kind="jr"), draws["rpt"])[0])
     with pytest.raises(ValueError):
-        penalty_batch(m, tr, RegularizerSpec(kind="none"), draws["rpt"])
+        penalty_batch(m, stacked, RegularizerSpec(kind="none"), draws["rpt"])
+    with pytest.raises(ValueError, match="needs the .1 \\+ D, B, n. trace of search_inputs"):
+        penalty_batch(m, tr, RegularizerSpec(kind="rpt"), draws["rpt"])
     for kind in ("none", "jr"):
         with pytest.raises(ValueError, match=f"no perturbation draws for kind '{kind}'"):
             perturbation_draws(kind, rows, 3, PerturbationConfig())

@@ -281,6 +281,46 @@ def test_a_failure_names_where_it_happened(monkeypatch, name, failing_call, mess
     assert len(calls) == failing_call
 
 
+@pytest.mark.parametrize("kind", ["rpt", "vat"])
+def test_an_overflowing_perturbation_fails_in_the_penalty(kind):
+    # the clean and perturbed rows share one pass, but a failure that the
+    # clean rows alone do not raise still names the penalty
+    spec = RegularizerSpec(kind, alpha=1.0, perturbation=PerturbationConfig(radius=1e308, init_std=1e308,
+                                                                            ascent_steps=0))
+    ds = tiny_moons()
+    message = "training diverged at epoch 0, batch 0, in the penalty: input matrix has non-finite entries"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(init_model_for(ds, (4,), seed=1), ds, quick_config(regularizer=spec))
+
+
+# (spec, forward passes a step): one for the clean rows and every rpt draw,
+# plus one per vat ascent step after the first and one at the found point
+_PASSES = {
+    "none": (RegularizerSpec("none"), 1),
+    "jr": (RegularizerSpec("jr"), 1),
+    "rpt_1_sample": (RegularizerSpec("rpt"), 1),
+    "rpt_3_samples": (RegularizerSpec("rpt", perturbation=PerturbationConfig(samples_per_example=3)), 1),
+    **{f"vat_{k}_steps": (RegularizerSpec("vat", perturbation=PerturbationConfig(ascent_steps=k)), k + 1)
+       for k in (0, 1, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(_PASSES))
+def test_forward_passes_per_step(monkeypatch, name):
+    spec, per_step = _PASSES[name]
+    real, calls = mlp.forward_batch, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mlp, "forward_batch", counted)
+    ds = withhold_labels(tiny_moons(n=45), 0.3, seed=4)
+    train(init_model_for(ds, (4,), seed=1), ds, quick_config(regularizer=spec), eval_sets={"holdout": tiny_moons(n=20)})
+    # 3 epochs of 3 batches, then each epoch scores the training and the holdout set
+    assert len(calls) == 3 * 3 * per_step + 3 * 2
+
+
 @pytest.mark.parametrize("call", [
     lambda stack, ds, path: train(stack, ds, quick_config()),
     lambda stack, ds, path: evaluate(stack, ds),
@@ -321,6 +361,16 @@ _PINNED_RUNS = {
                         perturbation=PerturbationConfig(radius=0.1, norm_kind="linf", ascent_steps=3, step_size=0.05)),
         "46807cc1b61aaa4ace38490c278b08b8041db2fac5d40ecf17b0f7e3c89710e5",
         "c847b9776f9be3ef458265c4b1989f480465cee3907f9e90886785c769505105"),
+    # the only path whose first pass holds a projected draw
+    "vat_kl_0_steps": (
+        RegularizerSpec("vat", "KL", alpha=1.0, perturbation=PerturbationConfig(radius=0.2, ascent_steps=0)),
+        "1eeb30b228ccf5916acee947c6aa38c4e7e74d4a9b988f1da689c2cafaaf8bfe",
+        "aad0a1d6c3ea35d0d46796d3f038dff39c90ee48951b2f779acc4476a02a7e91"),
+    # the acceptance protocol's shape
+    "rpt_jsd_1_sample": (
+        RegularizerSpec("rpt", "JSD", alpha=1.0, perturbation=PerturbationConfig(radius=0.3, samples_per_example=1)),
+        "d5d638550bd21a290c81f0d0df0268b4caef5f97e0a49b5205bb3120b0d80bd5",
+        "3744e9f47cc766f7d49302dad4854b65bb2e24e03bb817947a64b0834c771068"),
 }
 
 
