@@ -179,8 +179,7 @@ def _first_pass(model, tr: mlp.BatchTrace, spec: RegularizerSpec, clean_seed):
     stacked = zip(values, grads[1:], xg[1:])
 
     def divergence_grads(delta, want_param_grads=True):
-        done = next(stacked, None)
-        if done is not None:
+        if (done := next(stacked, None)) is not None:
             return done
         trn = mlp.forward_batch(model, tr.inputs[0] + delta)
         values, seed = _divergence_rows(gen, trn.posteriors, p)

@@ -196,9 +196,7 @@ def check_simplex(p: np.ndarray, name: str = "distribution") -> np.ndarray:
 
 def log_sum_exp(v: np.ndarray) -> np.ndarray:
     """log(sum(exp(v))) along the last axis, stable under large shifts."""
-    v = np.asarray(v, dtype=np.float64)
-    m = np.max(v, axis=-1, keepdims=True)
-    out = m[..., 0] + np.log(np.sum(np.exp(v - m), axis=-1))
+    out = softmax_and_log_sum_exp(v)[1]
     return out if out.ndim else float(out)
 
 
@@ -212,7 +210,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_and_log_sum_exp(logits: np.ndarray):
-    """(softmax, log_sum_exp) from one max, exp and sum, each with its own function's bytes."""
+    """(softmax, log_sum_exp) of finite logits from one max, exp and sum."""
     z = np.asarray(logits, dtype=np.float64)
     if not np.isfinite(z).all():
         raise ValueError("softmax input has non-finite entries")

@@ -33,7 +33,7 @@ def assert_grads_close(grads, fd, tol=1e-4):
     assert _grad_rel_err(grads, fd) < tol
 
 
-def first_pass(model, X, spec, draws):
+def stacked_trace(model, X, spec, draws):
     """The trace of the batch's stacked first pass."""
     return mlp.forward_batch(model, search_inputs(X, spec, draws))
 
@@ -175,12 +175,12 @@ def test_rpt_batch_values_ignore_batch_composition():
     spec = RegularizerSpec(kind="rpt", perturbation=PerturbationConfig(radius=0.2))
     rngs = [RandomSource(14).split(1, 0, i) for i in range(3)]
     draws = perturbation_draws("rpt", RandomRows.of(rngs), 3, spec.perturbation)
-    full, _, _ = rpt_penalty_batch(m, first_pass(m, X, spec, draws), spec, draws)
+    full, _, _ = rpt_penalty_batch(m, stacked_trace(m, X, spec, draws), spec, draws)
     # same example with the same stream, different batch around it; the draw
     # is identical, only GEMM rounding differs between batch shapes
     solo_draws = perturbation_draws("rpt", RandomRows.of([rngs[1]]), 3, spec.perturbation)
     assert np.array_equal(solo_draws[:, 0], draws[:, 1])
-    solo, _, _ = rpt_penalty_batch(m, first_pass(m, X[1:2], spec, solo_draws), spec, solo_draws)
+    solo, _, _ = rpt_penalty_batch(m, stacked_trace(m, X[1:2], spec, solo_draws), spec, solo_draws)
     assert full[1] == pytest.approx(solo[0], abs=1e-12)
 
 
@@ -257,7 +257,7 @@ def test_vat_batch_matches_single_example():
                            perturbation=PerturbationConfig(radius=0.1, ascent_steps=1, step_size=0.01))
     rngs = [RandomSource(30 + i) for i in range(3)]
     draws = perturbation_draws("vat", RandomRows.of(rngs), 3, spec.perturbation)
-    values, _, deltas, _ = vat_penalty_batch(m, first_pass(m, X, spec, draws), spec, draws)
+    values, _, deltas, _ = vat_penalty_batch(m, stacked_trace(m, X, spec, draws), spec, draws)
     for i in range(3):
         single = vat_penalty(m, X[i], spec, rngs[i])
         assert values[i] == pytest.approx(single.value, abs=1e-12)
@@ -322,7 +322,7 @@ def test_shared_search_matches_the_loops_it_replaced(kind, gen_kind, norm_kind, 
     want_draws = ([gaussian_rows(rows.split(s), 3, cfg.radius) for s in range(samples)] if kind == "rpt"
                   else [gaussian_rows(rows.split(0), 3, cfg.init_std)])
     assert np.array_equal(draws, np.stack(want_draws))
-    stacked = first_pass(m, X, spec, draws)
+    stacked = stacked_trace(m, X, spec, draws)
     if kind == "rpt":
         got, want = rpt_penalty_batch(m, stacked, spec, draws), loop_rpt_penalty_batch(m, tr, spec, draws)
     else:
@@ -344,7 +344,7 @@ def test_penalty_batch_dispatch():
     want_clean, _ = mlp._backward_from_logits(m, tr, seed)
     for kind in ("jr", "rpt", "vat"):
         spec = RegularizerSpec(kind=kind, perturbation=PerturbationConfig(radius=0.1))
-        stacked = first_pass(m, X, spec, draws.get(kind))
+        stacked = stacked_trace(m, X, spec, draws.get(kind))
         values, grads, clean_grads = penalty_batch(m, stacked, spec, draws.get(kind), seed)
         assert values.shape == (2,)
         assert grads.shape == m.params.shape
@@ -352,7 +352,7 @@ def test_penalty_batch_dispatch():
         assert np.array_equal(clean_grads, want_clean)
         assert not penalty_batch(m, stacked, spec, draws.get(kind))[2].any()
     # jr draws nothing, so it needs no draws
-    stacked = first_pass(m, X, RegularizerSpec(kind="jr"), None)
+    stacked = stacked_trace(m, X, RegularizerSpec(kind="jr"), None)
     values, _, _ = penalty_batch(m, stacked, RegularizerSpec(kind="jr"), None)
     assert np.array_equal(values, penalty_batch(m, stacked, RegularizerSpec(kind="jr"), draws["rpt"])[0])
     with pytest.raises(ValueError):
