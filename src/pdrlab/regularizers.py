@@ -215,7 +215,8 @@ def rpt_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyRe
     mlp._check_one_model(model, "rpt_penalty")
     X = mlp._one_row(x)
     draws = perturbation_draws("rpt", RandomRows.of([rng]), X.shape[1], spec.perturbation)
-    values, grads, _ = rpt_penalty_batch(model, mlp.forward_batch(model, search_inputs(X, spec, draws)), spec, draws)
+    tr = mlp.forward_batch(model, search_inputs(X, spec, draws))
+    values, grads, _ = rpt_penalty_batch(model, tr, spec, draws)
     return PenaltyResult(float(values[0]), grads)
 
 
@@ -224,8 +225,8 @@ def vat_penalty(model, x, spec: RegularizerSpec, rng: RandomSource) -> PenaltyRe
     mlp._check_one_model(model, "vat_penalty")
     X = mlp._one_row(x)
     draws = perturbation_draws("vat", RandomRows.of([rng]), X.shape[1], spec.perturbation)
-    values, grads, delta, _ = vat_penalty_batch(model, mlp.forward_batch(model, search_inputs(X, spec, draws)), spec,
-                                                draws)
+    tr = mlp.forward_batch(model, search_inputs(X, spec, draws))
+    values, grads, delta, _ = vat_penalty_batch(model, tr, spec, draws)
     return PenaltyResult(float(values[0]), grads, delta[0])
 
 
