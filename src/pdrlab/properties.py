@@ -3,7 +3,10 @@
 Each suite returns PropertyResult rows; a row passes when its slack is
 nonnegative (slack = how far the measurement stayed on the right side of its
 threshold), so a NaN slack fails. The suites are deterministic in
-(trials, seed) and are what the `verify` command runs. Each shared procedure is
+(trials, seed) and are what the `verify` command runs. A row draws each instance
+from its own `rng.split` stream, in instance order; the divergence rows then
+evaluate per shape, one call per generator (and class count) over all their
+instances, and fold the values in instance order. Each shared procedure is
 written once: `_decade_law` checks D(t) = t^2 q + O(t^3) at _DECADES and
 `_decade_row` folds its cases into a row; `_fd_row` folds parameter-FD errors.
 """
@@ -210,24 +213,21 @@ def divergence_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     dev = _max_or_nan(*(abs(float(g.g(np.asarray(1.0)))) for g in gens))
     out.append(PropertyResult("generator_unit_value_zero", -dev, f"max |g(1)| = {dev:.3e}"))
 
-    worst = math.inf
-    for i in range(max(200, trials // 5)):
-        g = rng.split(10, i).generator()
-        t1, t2 = np.exp(g.uniform(-2.3, 2.3, size=2))
-        for gen in gens:
-            mid = float(gen.g(np.asarray(0.5 * (t1 + t2))))
-            worst = _min_or_nan(worst, 0.5 * (float(gen.g(np.asarray(t1))) + float(gen.g(np.asarray(t2)))) - mid)
+    t1, t2 = np.exp([rng.split(10, i).generator().uniform(-2.3, 2.3, size=2)
+                     for i in range(max(200, trials // 5))]).T
+    slack = np.stack([0.5 * (gen.g(t1) + gen.g(t2)) - gen.g(0.5 * (t1 + t2)) for gen in gens], axis=1)
+    worst = _min_or_nan(*slack.ravel().tolist())
     out.append(PropertyResult("generator_convexity", worst + 1e-12, f"min midpoint slack = {worst:.3e}"))
 
     h = 1e-6
-    err = 0.0
-    for i in range(max(100, trials // 10)):
-        t = float(np.exp(rng.split(11, i).generator().uniform(-1.6, 1.6)))
-        for gen in gens:
-            fd1 = (float(gen.g(np.asarray(t + h))) - float(gen.g(np.asarray(t - h)))) / (2 * h)
-            fd2 = (float(gen.g_prime(np.asarray(t + h))) - float(gen.g_prime(np.asarray(t - h)))) / (2 * h)
-            err = _max_or_nan(err, abs(fd1 - float(gen.g_prime(np.asarray(t)))) / max(1.0, abs(fd1)))
-            err = _max_or_nan(err, abs(fd2 - float(gen.g_double_prime(np.asarray(t)))) / max(1.0, abs(fd2)))
+    t = np.exp([rng.split(11, i).generator().uniform(-1.6, 1.6) for i in range(max(100, trials // 10))])
+    errs = []
+    for gen in gens:
+        fd1 = (gen.g(t + h) - gen.g(t - h)) / (2 * h)
+        fd2 = (gen.g_prime(t + h) - gen.g_prime(t - h)) / (2 * h)
+        errs += [np.abs(fd1 - gen.g_prime(t)) / np.maximum(1.0, np.abs(fd1)),
+                 np.abs(fd2 - gen.g_double_prime(t)) / np.maximum(1.0, np.abs(fd2))]
+    err = _max_or_nan(0.0, *np.stack(errs, axis=1).ravel().tolist())
     out.append(PropertyResult("generator_derivatives_match_fd", 1e-6 - err,
                               f"max relative deviation = {err:.3e}"))
 
@@ -245,7 +245,6 @@ def divergence_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     jsd_excess = -math.inf
     jsd_mix_dev = 0.0
     l1l2 = math.inf
-    grad_err = 0.0
     block = max(1112, trials // 3)  # 9 blocks, >= 10k pairs total
     for m in (2, 3, 10):
         for scale in (0.5, 2.0, 6.0):
@@ -304,22 +303,28 @@ def divergence_suite(trials: int = 1000, seed: int = 1) -> list[PropertyResult]:
     out.append(PropertyResult("pinsker_inequality", min_gap + 1e-12,
                               f"min 2KL - l1^2 over {n_chunks * 200} pairs = {min_gap:.3e}"))
 
+    insts = []
     for i in range(max(100, trials // 10)):
         g = rng.split(14, i).generator()
         m = int(g.integers(2, 6))
         p_hat = softmax(g.standard_normal(m))
         p = softmax(g.standard_normal(m))
         d = g.standard_normal(m)
-        d -= d.mean()  # tangent to the simplex
-        # Richardson (4 F(h/2) - F(h)) / 3 cancels the central difference's h^2
-        # error, which grows like 1 / min(p_hat)^3 for RKL
-        hh = 1e-6
-        pts = p_hat + (hh * np.array([1.0, -1.0, 0.5, -0.5]))[:, None] * d
-        for gen in gens:
-            v = f_divergence(gen, pts, np.broadcast_to(p, (4, m)))
-            fd = float(4 * (v[2] - v[3]) / hh - (v[0] - v[1]) / (2 * hh)) / 3
-            an = float(f_divergence_grad_wrt_phat(gen, p_hat, p) @ d)
-            grad_err = _max_or_nan(grad_err, abs(an - fd) / max(1.0, abs(fd)))
+        insts.append((p_hat, p, d - d.mean()))  # d tangent to the simplex
+    # Richardson (4 F(h/2) - F(h)) / 3 cancels the central difference's h^2
+    # error, which grows like 1 / min(p_hat)^3 for RKL
+    hh = 1e-6
+    errs = np.empty((len(insts), len(gens)))
+    for m in sorted({inst[0].size for inst in insts}):  # one stack per class count
+        idx = [i for i, inst in enumerate(insts) if inst[0].size == m]
+        p_hat, p, d = (np.array(a) for a in zip(*(insts[i] for i in idx)))
+        pts = p_hat[:, None] + (hh * np.array([1.0, -1.0, 0.5, -0.5]))[:, None] * d[:, None]
+        for j, gen in enumerate(gens):
+            v = f_divergence(gen, pts, np.broadcast_to(p[:, None], pts.shape))
+            fd = (4 * (v[:, 2] - v[:, 3]) / hh - (v[:, 0] - v[:, 1]) / (2 * hh)) / 3
+            an = [row @ dk for row, dk in zip(f_divergence_grad_wrt_phat(gen, p_hat, p), d)]
+            errs[idx, j] = np.abs(np.array(an) - fd) / np.maximum(1.0, np.abs(fd))
+    grad_err = _max_or_nan(0.0, *errs.ravel().tolist())
     out.append(PropertyResult("divergence_grad_matches_fd", 1e-6 - grad_err,
                               f"max relative deviation = {grad_err:.3e}"))
     return out

@@ -61,15 +61,15 @@ def _sign_flip_p(diff, one_sided=False) -> float:
 def _paired(num: int, label: str, accs, base, margin=None):
     """Print accs - base per seed in percentage points, on how many seeds accs
     wins, ties and loses, the mean difference and its two-sided sign-flip p.
-    A margin claim, accs >= base - margin pp, also gets the one-sided p of
-    the differences plus the margin."""
+    A margin claim, accs >= base + margin pp with a signed margin, also gets
+    the one-sided p of the differences minus the margin."""
     diff = 100 * (np.asarray(accs) - np.asarray(base))
     wins, ties = int(np.sum(diff > 0)), int(np.sum(diff == 0))
     line = (f"criterion {num:02d} paired {label}, pp by seed: " + " ".join(f"{d:+.2f}" for d in diff)
             + f"; wins/ties/losses {wins}/{ties}/{diff.size - wins - ties}"
             + f"; mean {np.mean(diff):+.2f} pp, two-sided p {_sign_flip_p(diff):.3f}")
     if margin is not None:
-        line += f"; one-sided p of >= -{margin} pp {_sign_flip_p(diff + margin, one_sided=True):.3f}"
+        line += f"; one-sided p of >= {margin:+g} pp {_sign_flip_p(diff - margin, one_sided=True):.3f}"
     print(line)
 
 
@@ -83,6 +83,15 @@ def _paired(num: int, label: str, accs, base, margin=None):
 def test_sign_flip_p_values(diff, two_sided, one_sided):
     assert _sign_flip_p(diff) == two_sided
     assert _sign_flip_p(diff, one_sided=True) == one_sided
+
+
+@pytest.mark.parametrize("margin, label, p", [(-0.5, ">= -0.5 pp", 1 / 8), (-1, ">= -1 pp", 1 / 8),
+                                              (5, ">= +5 pp", 1.0)])
+def test_paired_line_tests_its_signed_margin(capsys, margin, label, p):
+    # differences 2, 3 and 4 pp: minus -0.5 or -1 every one stays positive;
+    # minus 5 they are -3, -2 and -1, which every sign pattern reaches
+    _paired(7, "A - B", [0.52, 0.53, 0.54], [0.5, 0.5, 0.5], margin=margin)
+    assert capsys.readouterr().out.rstrip().endswith(f"; one-sided p of {label} {p:.3f}")
 
 
 # ------------------------------------------------------------------------ 01
@@ -346,8 +355,8 @@ def test_criterion_06_in_domain_trend():
     elapsed = time.time() - t0
     others = {k: v for k, v in means.items() if k != "STD"}
     for name in others:
-        _paired(6, f"{name} - STD", accs[name], accs["STD"], margin=0.5)
-    _paired(6, "VAT_JSD - VAT_KL", accs["VAT_JSD"], accs["VAT_KL"], margin=0.5)
+        _paired(6, f"{name} - STD", accs[name], accs["STD"], margin=-0.5)
+    _paired(6, "VAT_JSD - VAT_KL", accs["VAT_JSD"], accs["VAT_KL"], margin=-0.5)
     ok = (means["VAT_JSD"] >= means["VAT_KL"] - 0.005
           and min(others.values()) >= means["STD"] - 0.005
           and max(others.values()) >= means["STD"] + 0.01
@@ -376,7 +385,7 @@ def test_criterion_07_spurious_bias_robustness():
     std, vat = float(np.mean(accs["STD"])), float(np.mean(accs["VAT_KL"]))
     elapsed = time.time() - t0
     ok = vat >= std + 0.05 and elapsed < 600.0
-    _paired(7, "VAT_KL - STD", accs["VAT_KL"], accs["STD"])
+    _paired(7, "VAT_KL - STD", accs["VAT_KL"], accs["STD"], margin=5)
     _verdict(7, "spurious-bias robustness", ok,
              f"adversarial-eval STD {100 * std:.2f} vs VAT_KL {100 * vat:.2f}, {elapsed:.0f}s")
 
@@ -402,8 +411,8 @@ def test_criterion_08_semi_supervised_matches_fully_labeled():
     best = max(float(np.mean(kl_accs)), float(np.mean(jsd_accs)))
     elapsed = time.time() - t0
     ok = best >= std - 0.01 and elapsed < 600.0
-    _paired(8, "VAT_KL half labels - STD", kl_accs, std_accs, margin=1)
-    _paired(8, "VAT_JSD half labels - STD", jsd_accs, std_accs, margin=1)
+    _paired(8, "VAT_KL half labels - STD", kl_accs, std_accs, margin=-1)
+    _paired(8, "VAT_JSD half labels - STD", jsd_accs, std_accs, margin=-1)
     _verdict(8, "semi-supervised vs fully labeled", ok,
              f"best VAT at half labels {100 * best:.2f} vs fully labeled STD {100 * std:.2f}, "
              f"{elapsed:.0f}s")

@@ -202,6 +202,53 @@ def test_scaled_divergence_gradient_is_caught(monkeypatch):
     assert _failed(run_suite("divergence", trials=40, seed=1)) == {"divergence_grad_matches_fd"}
 
 
+@pytest.mark.parametrize("m, factor", [(5, 1 + 1e-5), (2, math.nan)], ids=["scaled_m5", "nan_m2"])
+def test_divergence_gradient_error_in_one_class_count_is_caught(monkeypatch, m, factor):
+    # the gradient row evaluates its instances once per class count, so an
+    # error confined to one count must reach the row, a NaN included
+    clean = properties.f_divergence_grad_wrt_phat
+
+    def planted(gen, p_hat, p):
+        grads = clean(gen, p_hat, p)
+        return factor * grads if np.shape(p_hat)[-1] == m else grads
+
+    monkeypatch.setattr(properties, "f_divergence_grad_wrt_phat", planted)
+    assert _failed(run_suite("divergence", trials=40, seed=1)) == {"divergence_grad_matches_fd"}
+
+
+@pytest.mark.parametrize("trials, seed, digest", [
+    (1000, 1, "b3aaa174a1cc7c65296c2de5504baecb703d6db1da50bdace089f59bddb9ee55"),
+    (100, 89, "3d2957e02baee2ab5916420d6a8e5a9deb9bf3a62b29c25f3b970474d8ae1ce8"),  # the steep RKL instance
+])
+def test_divergence_suite_lines_are_pinned(trials, seed, digest):
+    # every line the divergence suite prints, pinned on one platform and numpy
+    # build as test_all_runs_every_suite_in_order pins all four suites
+    text = "".join(f"{r.name} {r.slack!r} {r.detail}\n" for r in properties.divergence_suite(trials, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_divergence_suite_evaluates_once_per_shape(monkeypatch):
+    # per instance, the suite made 544 f_divergence and 400 gradient calls at
+    # trials=100; the generator count shows that every instance still draws
+    # from its own stream
+    counts = collections.Counter()
+
+    def count(owner, name):
+        clean = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return clean(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(properties, "f_divergence")
+    count(properties, "f_divergence_grad_wrt_phat")
+    count(tensor.RandomSource, "generator")
+    properties.divergence_suite(trials=100, seed=1)
+    assert counts == {"f_divergence": 160, "f_divergence_grad_wrt_phat": 16, "generator": 459}
+
+
 def _largest_entry_scaled(jac):
     jac = jac.copy()
     jac[np.unravel_index(np.argmax(np.abs(jac)), jac.shape)] *= 1 + 1e-5
