@@ -47,6 +47,17 @@ def test_all_runs_every_suite_in_order():
         "f46c5af47ee97030ac541ca0836a2e0425d06a24ef468d356832db2a12862a61")
 
 
+def test_all_lines_are_pinned_at_verify_scale():
+    # `verify --suite all --trials 1000 --seed 1`, whose lines a refactor must
+    # keep byte-identical. Only trials >= 1000 lift n_chain, the vat_pair count,
+    # the Pinsker chunks and the simplex blocks above their floors. Like the
+    # other goldens, it holds only under the SIMD and BLAS dispatch it was
+    # computed on (AVX-512 numpy loops, OpenBLAS SkylakeX kernels).
+    text = "".join(f"{r.name} {r.slack!r} {r.detail}\n" for r in run_suite("all", trials=1000, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "71c65de2a2c7f4839d3651a721d81043cad054bda6ce519fff5ae18913a4ce69")
+
+
 def test_suites_are_deterministic():
     a = run_suite("divergence", trials=50, seed=3)
     b = run_suite("divergence", trials=50, seed=3)
