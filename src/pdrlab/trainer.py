@@ -47,6 +47,7 @@ class TrainConfig:
     def __post_init__(self):
         mlp._check_int(self.epochs, "epochs", 1, math.inf)
         mlp._check_int(self.batch_size, "batch_size", 1, math.inf)
+        mlp._check_int(self.seed, "seed", 0, 1 << 64)  # RandomSource keys a seed mod 2**64
         if not 0.0 < self.learning_rate < math.inf:  # also catches NaN
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 

@@ -69,6 +69,25 @@ def test_unknown_suite_rejected():
         run_suite("everything", trials=10, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.0, True])
+def test_seed_outside_the_key_range_is_rejected(seed):
+    # RandomSource keys a seed mod 2**64: -1 ran the rows of 2**64 - 1, and 2**64 + 1 those of 1
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, "):
+        run_suite("divergence", trials=40, seed=seed)
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2000.5, True, "40"])
+def test_trials_must_be_a_positive_integer(trials):
+    # 2000.5 raised a TypeError from range, and True ran as 1
+    with pytest.raises(ValueError, match=r"^trials must be an integer in \[1, "):
+        run_suite("divergence", trials=trials, seed=1)
+
+
+def test_largest_seed_runs():
+    assert [r.name for r in run_suite("divergence", trials=1, seed=2**64 - 1)] == [
+        r.name for r in run_suite("divergence", trials=1, seed=0)]
+
+
 def test_corrupted_generator_is_caught(monkeypatch):
     # negative control: g(1) != 0 must trip the unit-value property
     monkeypatch.setitem(GENERATORS, "KL", replace(KL, g=lambda t: t * np.log(t) + 0.01))
@@ -300,7 +319,7 @@ def _scaled_gaussian_rows(factor):
 
 def test_rpt_draw_scale_is_caught(monkeypatch):
     monkeypatch.setattr(regularizers, "gaussian_rows", _scaled_gaussian_rows(math.sqrt(2.0)))
-    assert "rpt_mean_matches_quadratic_trace" in _failed(run_suite("vat", trials=100, seed=1))
+    assert "rpt_mean_matches_quadratic_trace" in _failed(properties._rpt_mean_rows(tensor.RandomSource(1), 100))
 
 
 def test_shared_kernel_draw_scale_is_caught(monkeypatch):
@@ -309,12 +328,12 @@ def test_shared_kernel_draw_scale_is_caught(monkeypatch):
     scaled = _scaled_gaussian_rows(math.sqrt(2.0))
     for module in (tensor, regularizers, properties):
         monkeypatch.setattr(module, "gaussian_rows", scaled)
-    assert "rpt_draw_second_moment" in _failed(run_suite("vat", trials=100, seed=1))
+    assert "rpt_draw_second_moment" in _failed(properties._rpt_mean_rows(tensor.RandomSource(1), 100))
 
 
 def test_doubled_curvature_is_caught(monkeypatch):
     monkeypatch.setitem(GENERATORS, "KL", replace(KL, g_double_prime=lambda t: 2.0 / t))
-    assert "rpt_mean_matches_quadratic_trace" in _failed(run_suite("vat", trials=100, seed=1))
+    assert "rpt_mean_matches_quadratic_trace" in _failed(properties._rpt_mean_rows(tensor.RandomSource(1), 100))
 
 
 def test_divergence_seed_error_is_caught(monkeypatch):
@@ -327,14 +346,14 @@ def test_divergence_seed_error_is_caught(monkeypatch):
 
     for module in (divergences, regularizers, spans):
         monkeypatch.setattr(module, "_divergence_rows", scaled)
-    assert "divergence_grad_matches_fd" in _failed(run_suite("all", trials=100, seed=1))
+    assert "divergence_grad_matches_fd" in _failed(properties._divergence_grad_rows(tensor.RandomSource(1), 100))
 
 
 def test_reported_ce_error_is_caught(monkeypatch):
     # the losses training sums into mean_ce are the values verify differentiates
     clean = mlp.cross_entropy
     monkeypatch.setattr(mlp, "cross_entropy", lambda logits, labels: clean(logits, labels) * (1 + 1e-3))
-    assert "ce_grads_match_fd" in _failed(run_suite("all", trials=100, seed=1))
+    assert "ce_grads_match_fd" in _failed(properties._param_grad_rows(tensor.RandomSource(1), 100))
 
 
 @pytest.mark.parametrize("factor, check", [(1.01, "spectral_le_frobenius"),
@@ -344,7 +363,9 @@ def test_wrong_spectral_norm_is_caught(monkeypatch, factor, check):
     clean = tensor.spectral_norm
     for module in (properties, regularizers):
         monkeypatch.setattr(module, "spectral_norm", lambda mat: factor * clean(mat))
-    assert check in _failed(run_suite("jacobian", trials=40, seed=1))
+    group = {"spectral_le_frobenius": properties._input_jacobian_rows,
+             "distance_and_jacobian_chains": properties._chain_rows}[check]
+    assert check in _failed(group(tensor.RandomSource(1), 40))
 
 
 def test_worker_count_env(monkeypatch):

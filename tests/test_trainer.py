@@ -49,6 +49,14 @@ def test_config_validation():
             TrainConfig(epochs=1, batch_size=8, seed=1, learning_rate=bad)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.0, True])
+def test_seed_outside_the_key_range_is_rejected(seed):
+    # RandomSource keys a seed mod 2**64: seed -1 trained the bytes of 2**64 - 1
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, "):
+        TrainConfig(seed=seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize("bad", [2.5, True, "1"])
 @pytest.mark.parametrize("field", ["epochs", "batch_size"])
 def test_train_counts_must_be_integers(field, bad):
